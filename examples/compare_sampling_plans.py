@@ -19,17 +19,21 @@ from __future__ import annotations
 
 import sys
 
-from repro.core import ComparisonConfig, LearnerConfig, compare_sampling_plans, standard_plans
-from repro.spapt import benchmark_names, get_benchmark
+from repro.core import LearnerConfig
+from repro.experiments import ExperimentScale, run_artifacts
+from repro.spapt import benchmark_names
 
 
 def main() -> None:
     name = sys.argv[1] if len(sys.argv) > 1 else "gemver"
     if name not in benchmark_names():
         raise SystemExit(f"unknown benchmark {name!r}; choose from {benchmark_names()}")
-    benchmark = get_benchmark(name)
 
-    config = ComparisonConfig(
+    # Table 1 restricted to one benchmark: one learner run per
+    # (sampling plan x repetition) work unit, folded into a comparison.
+    scale = ExperimentScale(
+        name="example",
+        benchmarks=(name,),
         learner=LearnerConfig(
             n_initial=5,
             seed_observations=20,
@@ -42,10 +46,13 @@ def main() -> None:
         repetitions=2,
         test_size=200,
         test_observations=10,
+        dataset_configurations=200,
+        dataset_observations=10,
+        figure1_grid=10,
         seed=2017,
     )
-    print(f"comparing sampling plans on {name} (this runs {config.repetitions} repetitions)...")
-    comparison = compare_sampling_plans(benchmark, plans=standard_plans(), config=config)
+    print(f"comparing sampling plans on {name} (this runs {scale.repetitions} repetitions)...")
+    comparison = run_artifacts(scale, ["table1"])["table1"].comparisons[name]
 
     print()
     print(f"lowest common RMSE: {comparison.lowest_common_rmse:.4f} s")

@@ -13,10 +13,7 @@ from .comparison import (
     ComparisonConfig,
     PlanComparison,
     assemble_comparison,
-    compare_sampling_plans,
     resolve_acquisition,
-    resolve_plans,
-    speedup_between,
 )
 from .curves import (
     CurvePoint,
@@ -27,7 +24,7 @@ from .curves import (
     time_to_reach,
 )
 from .evaluation import TestSet, build_test_set, evaluate_rmse
-from .learner import ActiveLearner, LearnerCheckpoint, LearnerConfig, LearningResult
+from .learner import ActiveLearner, LearnerConfig, LearningResult
 from .plans import (
     SamplingPlan,
     adaptive_ci_plan,
@@ -50,10 +47,7 @@ __all__ = [
     "ComparisonConfig",
     "PlanComparison",
     "assemble_comparison",
-    "compare_sampling_plans",
     "resolve_acquisition",
-    "resolve_plans",
-    "speedup_between",
     "CurvePoint",
     "LearningCurve",
     "average_curves",
@@ -64,7 +58,6 @@ __all__ = [
     "build_test_set",
     "evaluate_rmse",
     "ActiveLearner",
-    "LearnerCheckpoint",
     "LearnerConfig",
     "LearningResult",
     "SamplingPlan",

@@ -16,10 +16,10 @@ future measurement service.
 The session covers the full lifecycle of Algorithm 1 — ``seeding`` (the
 ``n_initial`` bootstrap configurations), ``learning`` (acquisition-driven
 selection) and ``done`` — and is fully picklable mid-run: a pickled
-session *is* the checkpoint (``LearnerCheckpoint`` is now a thin alias),
-carrying the model, the generator, the per-configuration statistics, the
-cost ledger, the candidate pool, the curve, the held-out test set and the
-benchmark's stateful noise components.  Only the benchmark itself is
+session *is* the checkpoint, carrying the model, the generator, the
+per-configuration statistics, the cost ledger, the candidate pool, the
+curve, the held-out test set and the benchmark's stateful noise
+components.  Only the benchmark itself is
 dropped (it holds unpicklable memoisation caches) and reattached on resume
 through :meth:`TuningSession.attach_benchmark`.
 
@@ -179,8 +179,7 @@ class TuningSession:
 
     @property
     def next_iteration(self) -> int:
-        """The next Algorithm-1 iteration index (compat with the old
-        ``LearnerCheckpoint.next_iteration`` field)."""
+        """The next Algorithm-1 iteration index."""
         return self._iteration
 
     @property
@@ -245,10 +244,9 @@ class TuningSession:
 
     def __setstate__(self, state: dict) -> None:
         if "_plan" not in state or "_rng" not in state:
-            # An old-style LearnerCheckpoint blob (the dataclass this class
-            # replaced) unpickles into the aliased class with foreign
-            # fields; surface it as the error the checkpoint loaders treat
-            # as "corrupt/stale: restart the unit".
+            # Foreign state (not a pickled session) surfaces as the error
+            # the checkpoint loaders treat as "corrupt/stale: restart the
+            # unit".
             raise AttributeError(
                 "incompatible checkpoint: not a pickled TuningSession"
             )

@@ -1,43 +1,41 @@
 """Experiment harness: a declarative registry of the paper's artifacts.
 
 ==================  ====================================================
-Artifact            Spec / driver
+Artifact            Registry name
 ==================  ====================================================
-Table 1             ``table1`` (:func:`repro.experiments.table1.run_table1`)
-Table 2             ``table2`` (:func:`repro.experiments.table2.run_table2`)
-Figure 1            ``figure1`` (:func:`repro.experiments.figure1.run_figure1`)
-Figure 2            ``figure2`` (:func:`repro.experiments.figure2.run_figure2`)
+Table 1             ``table1``
+Table 2             ``table2``
+Figure 1            ``figure1`` (sweep body: :func:`~repro.experiments.figure1.run_figure1`)
+Figure 2            ``figure2`` (sweep body: :func:`~repro.experiments.figure2.run_figure2`)
 Figure 5            ``figure5`` (derived from Table 1)
 Figure 6            ``figure6`` (derived from Table 1)
 Noise robustness    ``noise_robustness``
 Acquisition study   ``acquisition-ablation`` (ALC vs ALM vs random)
 Model study         ``model-ablation`` (dynamic tree vs GP vs k-NN)
+Batch study         ``batch-acquisition`` (k ∈ {1, 2, 5} × batch strategies)
 ==================  ====================================================
 
 Every artifact registers an :class:`~repro.experiments.registry.ExperimentSpec`
 declaring how it decomposes into seeded, order-independent,
 checkpointable work units and how completed units fold into its report.
-The same units run on two backends: in memory
-(:func:`~repro.experiments.registry.run_artifacts`, what plain
-``run_all`` uses) or through the sharded, resumable, multi-host task
-queue of :mod:`repro.experiments.runner` (``run_all --paper-run``).
-Every driver takes an :class:`repro.experiments.config.ExperimentScale`
-(``smoke``, ``laptop`` or ``paper``) and returns structured results with
-a ``render()`` method that prints the same rows/series the paper reports.
+Registry work units are the only way an experiment runs, on one of two
+executors: :func:`~repro.experiments.registry.run_artifacts` runs them
+serially in this process (``run_artifacts(scale, [name])[name]`` is the
+programmatic form of ``run_all --only name``), and the sharded,
+resumable, multi-host task queue of :mod:`repro.experiments.runner`
+(``run_all --paper-run``) is the only one that runs them in parallel.
+Every artifact takes an :class:`repro.experiments.config.ExperimentScale`
+(``smoke``, ``laptop`` or ``paper``) and folds into a result with a
+``render()`` method that prints the same rows/series the paper reports.
 """
 
-from .ablations import (
-    AblationResult,
-    AblationRow,
-    run_acquisition_ablation,
-    run_model_ablation,
-)
+from .ablations import AblationResult, AblationRow
 from .config import ExperimentScale
 from .figure1 import Figure1Result, run_figure1
 from .figure2 import Figure2Result, run_figure2
-from .figure5 import Figure5Result, figure5_from_table1, run_figure5
-from .figure6 import PAPER_FIGURE6_BENCHMARKS, Figure6Result, run_figure6
-from .noise_robustness import NoiseRobustnessResult, run_noise_robustness, scaled_benchmark
+from .figure5 import Figure5Result, figure5_from_table1
+from .figure6 import PAPER_FIGURE6_BENCHMARKS, Figure6Result
+from .noise_robustness import NoiseRobustnessResult, scaled_benchmark
 from .paper_scale import PaperScaleSmokeResult, run_paper_scale_smoke
 from .registry import (
     DEFAULT_ARTIFACTS,
@@ -50,8 +48,8 @@ from .registry import (
 )
 from .run_all import run_all
 from .runner import ExperimentRunner, RunManifest, RunnerError, run_paper_run
-from .table1 import PAPER_TABLE1_SPEEDUPS, Table1Result, run_table1, table1_from_comparisons
-from .table2 import Table2Result, run_table2
+from .table1 import PAPER_TABLE1_SPEEDUPS, Table1Result, table1_from_comparisons
+from .table2 import Table2Result
 
 __all__ = [
     "ExperimentScale",
@@ -61,17 +59,12 @@ __all__ = [
     "run_figure2",
     "Figure5Result",
     "figure5_from_table1",
-    "run_figure5",
     "PAPER_FIGURE6_BENCHMARKS",
     "Figure6Result",
-    "run_figure6",
     "NoiseRobustnessResult",
-    "run_noise_robustness",
     "scaled_benchmark",
     "AblationResult",
     "AblationRow",
-    "run_acquisition_ablation",
-    "run_model_ablation",
     "PaperScaleSmokeResult",
     "run_paper_scale_smoke",
     "run_all",
@@ -88,8 +81,6 @@ __all__ = [
     "run_paper_run",
     "PAPER_TABLE1_SPEEDUPS",
     "Table1Result",
-    "run_table1",
     "table1_from_comparisons",
     "Table2Result",
-    "run_table2",
 ]

@@ -212,11 +212,3 @@ class Figure1Spec(ExperimentSpec):
 
 
 register(Figure1Spec())
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run_figure1().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

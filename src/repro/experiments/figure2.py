@@ -134,11 +134,3 @@ class Figure2Spec(ExperimentSpec):
 
 
 register(Figure2Spec())
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run_figure2().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -5,11 +5,12 @@ by artificially introducing noise into the system to see how robustly it
 performs in extreme cases.  Success would allow our strategies to be used in
 heavily loaded multi-user environments."*
 
-The simulated substrate makes that study straightforward: this driver scales
-a benchmark's calibrated noise profile by a sequence of multipliers (0.5x …
-8x, where 1x is the calibration of Table 2) and, at every noise level, runs
-the Table 1 comparison between the 35-observation baseline and the variable
-plan.  The questions it answers:
+The simulated substrate makes that study straightforward: this artifact
+scales a benchmark's calibrated noise profile by a sequence of multipliers
+(0.5x … 4x, where 1x is the calibration of Table 2) and, at every noise
+level, runs the Table 1 comparison between the 35-observation baseline and
+the variable plan — one ordinary learner unit per (multiplier × plan ×
+repetition), folded like Table 1.  The questions it answers:
 
 * does the variable plan keep reaching the common error level cheaper as
   the environment gets noisier (the "heavily loaded machine" scenario)?
@@ -19,16 +20,24 @@ plan.  The questions it answers:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
-from ..core.comparison import PlanComparison, compare_sampling_plans
+from ..core.comparison import PlanComparison, assemble_comparison
+from ..core.learner import LearningResult
 from ..core.plans import standard_plans
 from ..measurement.noise import NoiseProfile
 from ..spapt.suite import BENCHMARK_SPECS, SpaptBenchmark
 from .config import ExperimentScale
-from .registry import ExperimentSpec, UnitContext, WorkUnit, register
+from .registry import (
+    ExperimentSpec,
+    UnitContext,
+    WorkUnit,
+    execute_learner_run,
+    group_learner_results,
+    register,
+    slugify,
+)
 from .reporting import format_table
 
 __all__ = [
@@ -36,7 +45,6 @@ __all__ = [
     "NoiseRobustnessResult",
     "NoiseRobustnessSpec",
     "scaled_benchmark",
-    "run_noise_robustness",
     "DEFAULT_NOISE_MULTIPLIERS",
 ]
 
@@ -120,28 +128,6 @@ class NoiseRobustnessResult:
         )
 
 
-def _level_comparison(
-    benchmark_name: str, multiplier: float, scale: ExperimentScale
-) -> PlanComparison:
-    """The plan comparison at one noise level — the robustness work unit.
-
-    Each level builds its own scaled benchmark and runs the comparison
-    serially inside the unit (the historical schedule: stateful noise
-    carries across the level's repetitions), so the levels themselves are
-    order-independent and shard freely.
-    """
-    benchmark = scaled_benchmark(benchmark_name, multiplier)
-    comparison = compare_sampling_plans(
-        benchmark, plans=standard_plans(), config=scale.comparison_config()
-    )
-    # Unit payloads must stay small and picklable: drop the per-run models.
-    stripped = {
-        plan_name: [dataclasses.replace(r, model=None) for r in results]
-        for plan_name, results in comparison.results.items()
-    }
-    return dataclasses.replace(comparison, results=stripped)
-
-
 def _level_result(multiplier: float, comparison: PlanComparison) -> NoiseLevelResult:
     return NoiseLevelResult(
         noise_multiplier=float(multiplier),
@@ -154,28 +140,13 @@ def _level_result(multiplier: float, comparison: PlanComparison) -> NoiseLevelRe
     )
 
 
-def run_noise_robustness(
-    scale: Optional[ExperimentScale] = None,
-    benchmark_name: str = "mm",
-    noise_multipliers: Sequence[float] = DEFAULT_NOISE_MULTIPLIERS,
-) -> NoiseRobustnessResult:
-    """Run the future-work noise-injection study for one benchmark."""
-    scale = scale if scale is not None else ExperimentScale.laptop()
-    levels: List[NoiseLevelResult] = []
-    comparisons: Dict[float, PlanComparison] = {}
-    for multiplier in noise_multipliers:
-        comparison = _level_comparison(benchmark_name, multiplier, scale)
-        comparisons[multiplier] = comparison
-        levels.append(_level_result(multiplier, comparison))
-    return NoiseRobustnessResult(
-        benchmark=benchmark_name, levels=levels, comparisons=comparisons
-    )
-
-
 class NoiseRobustnessSpec(ExperimentSpec):
-    """The noise-injection study as registry work units: one per noise
-    multiplier, on the study benchmark (``mm`` when the scale includes it,
-    otherwise the scale's first benchmark)."""
+    """The noise-injection study as registry work units: one learner run
+    per (noise multiplier × sampling plan × repetition) on the study
+    benchmark (``mm`` when the scale includes it, otherwise the scale's
+    first benchmark).  Units are seeded like Table 1's and each builds its
+    own noise-scaled benchmark, so every run starts with a fresh drift
+    state."""
 
     name = "noise_robustness"
     title = "Noise robustness"
@@ -193,17 +164,38 @@ class NoiseRobustnessSpec(ExperimentSpec):
         return [
             WorkUnit(
                 artifact=self.name,
-                key=(benchmark, f"{multiplier:g}x"),
-                params={"benchmark": benchmark, "multiplier": multiplier},
+                key=(
+                    benchmark,
+                    f"{multiplier:g}x",
+                    slugify(plan.name),
+                    f"r{repetition:03d}",
+                ),
+                params={
+                    "benchmark": benchmark,
+                    "multiplier": multiplier,
+                    "plan_name": plan.name,
+                    "plan_index": plan_index,
+                    "repetition": repetition,
+                },
             )
             for multiplier in self.multipliers
+            for repetition in range(scale.repetitions)
+            for plan_index, plan in enumerate(standard_plans())
         ]
 
     def execute_unit(
         self, unit: WorkUnit, scale: ExperimentScale, context: UnitContext
-    ) -> PlanComparison:
-        return _level_comparison(
-            str(unit.params["benchmark"]), float(unit.params["multiplier"]), scale
+    ) -> LearningResult:
+        plan_index = int(unit.params["plan_index"])
+        return execute_learner_run(
+            benchmark=scaled_benchmark(
+                str(unit.params["benchmark"]), float(unit.params["multiplier"])
+            ),
+            plan=standard_plans()[plan_index],
+            plan_index=plan_index,
+            repetition=int(unit.params["repetition"]),
+            config=scale.comparison_config(),
+            context=context,
         )
 
     def fold(
@@ -212,30 +204,26 @@ class NoiseRobustnessSpec(ExperimentSpec):
         payloads: Sequence[Tuple[WorkUnit, Any]],
         deps: Mapping[str, Any],
     ) -> NoiseRobustnessResult:
-        ordered = sorted(
-            payloads, key=lambda pair: float(pair[0].params["multiplier"])
-        )
-        levels = [
-            _level_result(float(unit.params["multiplier"]), comparison)
-            for unit, comparison in ordered
-        ]
-        comparisons = {
-            float(unit.params["multiplier"]): comparison
-            for unit, comparison in ordered
-        }
+        benchmark = self.study_benchmark(scale)
+        plan_names = [plan.name for plan in standard_plans()]
+        comparisons: Dict[float, PlanComparison] = {}
+        for multiplier in sorted(self.multipliers):
+            at_level = [
+                pair
+                for pair in payloads
+                if float(pair[0].params["multiplier"]) == multiplier
+            ]
+            grouped = group_learner_results(
+                at_level, [benchmark], plan_names, axis_param="plan_name"
+            )
+            comparisons[multiplier] = assemble_comparison(
+                benchmark, plan_names, grouped[benchmark]
+            )
         return NoiseRobustnessResult(
-            benchmark=self.study_benchmark(scale),
-            levels=levels,
+            benchmark=benchmark,
+            levels=[_level_result(m, c) for m, c in comparisons.items()],
             comparisons=comparisons,
         )
 
 
 register(NoiseRobustnessSpec())
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run_noise_robustness().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

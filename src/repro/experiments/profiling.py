@@ -9,8 +9,8 @@ profile directory; when the run completes the driver merges them and writes
 run.  The per-unit ``.prof`` files stay behind for ad-hoc drilling
 (``python -m pstats <file>``).
 
-Both execution backends thread the same directory through: the in-memory
-pool of :mod:`repro.experiments.registry` and the sharded task queue of
+Both executors thread the same directory through: the serial in-memory
+executor of :mod:`repro.experiments.registry` and the sharded task queue of
 :mod:`repro.experiments.runner` (where the directory lives inside the run
 dir, next to the results it explains).  Profiles are additive across
 worker processes because each unit writes its own file keyed by unit id —

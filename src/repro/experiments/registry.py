@@ -1,9 +1,7 @@
 """Declarative experiment registry: every paper artifact as work units.
 
-Before this module existed only the Table 1 family ran on the sharded,
-resumable backend; the other drivers were bespoke, serial and in-process.
-The registry turns *every* artifact — tables, figures, the
-noise-robustness study, the ablations — into the same shape:
+Every artifact — tables, figures, the noise-robustness study, the
+ablations — has the same shape:
 
 * an :class:`ExperimentSpec` declares how the artifact **decomposes** into
   seeded, order-independent, checkpointable :class:`WorkUnit`\\ s for a
@@ -14,20 +12,19 @@ noise-robustness study, the ablations — into the same shape:
   ``noise_robustness``, ``acquisition-ablation``, ``model-ablation``) to
   their specs and resolves dependency closures (Figures 5 and 6 fold from
   Table 1's comparisons instead of recomputing them);
-* :func:`run_artifacts` is the in-memory executor — the degenerate
-  one-worker path of the sharded backend
-  (:mod:`repro.experiments.runner`), which executes the *same* units from
-  an on-disk queue across processes and hosts.
+* :func:`run_artifacts` is the serial, in-process reference executor.
+  The sharded backend (:mod:`repro.experiments.runner`) executes the
+  *same* units from an on-disk queue across processes and hosts, and is
+  the only place units run in parallel.
 
 Unit payloads must be picklable and model-free (surrogate models are
 stripped before publication); unit parameters must be JSON-serialisable so
 the manifest can round-trip them.
 
 :func:`execute_learner_run` is the shared work-unit body for every
-artifact whose unit is "one active-learner run" (Table 1, the ablations):
-it reproduces the pool-schedule seeding of
-:func:`repro.core.comparison.compare_sampling_plans_suite` exactly and
-supports mid-unit checkpoint/resume through a :class:`UnitContext`.
+artifact whose unit is "one active-learner run" (Table 1, the noise
+study, the ablations): its seeds depend only on the unit's coordinates,
+and it supports mid-unit checkpoint/resume through a :class:`UnitContext`.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ import dataclasses
 import hashlib
 import importlib
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -58,7 +54,7 @@ from ..core.plans import SamplingPlan
 from ..core.session import TuningSession
 from ..measurement.broker import ReplayBroker, ReplayTrace
 from ..measurement.faults import BrokerPolicy
-from ..spapt.suite import get_benchmark
+from ..spapt.suite import SpaptBenchmark
 from .config import ExperimentScale
 from .profiling import profile_unit_call
 
@@ -328,72 +324,51 @@ def resolve_artifacts(
 
 
 def _memory_context(
+    spec: ExperimentSpec,
+    unit: WorkUnit,
     replay_trace: Optional[str],
-    unit: Optional[WorkUnit] = None,
-    spec: Optional[ExperimentSpec] = None,
-    broker_policy: Optional[BrokerPolicy] = None,
+    broker_policy: Optional[BrokerPolicy],
 ) -> UnitContext:
     context = UnitContext()
     context.replay_trace = replay_trace
     context.broker_policy = broker_policy
-    if unit is not None:
-        context.unit_id = unit.unit_id
-        context.artifact = unit.artifact
-    if spec is not None:
-        context.replay_rescore_from = tuple(spec.replay_rescore_from)
+    context.unit_id = unit.unit_id
+    context.artifact = unit.artifact
+    context.replay_rescore_from = tuple(spec.replay_rescore_from)
     return context
 
 
-def _execute_unit_job(
-    args: Tuple[
-        str,
-        ExperimentScale,
-        dict,
-        Optional[str],
-        Optional[str],
-        Optional[BrokerPolicy],
-    ]
-) -> Any:
-    """Worker-process entry point for the in-memory pool path."""
-    spec_name, scale, record, replay_trace, profile_dir, broker_policy = args
-    spec = get_spec(spec_name)
-    unit = WorkUnit.from_record(record)
-    return profile_unit_call(
-        profile_dir,
-        unit.unit_id,
-        lambda: spec.execute_unit(
-            unit,
-            scale,
-            _memory_context(replay_trace, unit, spec, broker_policy),
-        ),
-    )
-
-
-def execute_artifact_units(
-    spec: ExperimentSpec,
+def run_artifacts(
     scale: ExperimentScale,
-    workers: int = 1,
+    artifacts: Optional[Sequence[str]] = None,
+    on_result: Optional[Callable[[ExperimentSpec, Any], None]] = None,
     replay_trace: Optional[str] = None,
     profile_dir: Optional[str] = None,
     broker_policy: Optional[BrokerPolicy] = None,
-) -> List[Tuple[WorkUnit, Any]]:
-    """Execute every unit of ``spec`` and return (unit, payload) pairs.
+) -> Dict[str, Any]:
+    """Execute and fold artifacts in dependency order, serially in memory.
 
-    ``workers == 1`` runs in-process; larger values fan the units out over
-    a process pool.  Units are seeded independently of execution order, so
-    the pairs are identical either way.  ``replay_trace`` routes learner
-    units through a recorded measurement trace (see :class:`UnitContext`).
-    ``profile_dir`` wraps each unit in cProfile and dumps per-unit stats
-    there (see :mod:`repro.experiments.profiling`).  ``broker_policy``
-    arms the fault-tolerance broker chain around each unit's measurements
-    (see :class:`~repro.measurement.faults.BrokerPolicy`); note the
-    in-memory executor has no quarantine — a permanently failed
-    measurement propagates and aborts the run (graceful degradation is
-    the sharded runner's job).
+    This is the reference executor: the same units, seeding and folds as
+    the sharded backend, run one after another in this process without
+    the on-disk queue, claims and checkpoints.  ``on_result`` fires after
+    each artifact folds (dependency-closure artifacts included), which is
+    what lets the report stream section by section.  ``replay_trace``
+    names a measurement-trace directory: learner runs replay recorded
+    measurements and record whatever they had to measure live, so a
+    second run (or a re-scoring of different acquisition arms) profiles
+    only what the trace does not already hold.  ``profile_dir`` wraps
+    each unit in cProfile and dumps per-unit stats there (the caller
+    merges them, see
+    :func:`repro.experiments.profiling.write_profile_summary`).
+    ``broker_policy`` arms the fault-tolerance broker chain around each
+    unit's measurements (see
+    :class:`~repro.measurement.faults.BrokerPolicy`); this executor has no
+    quarantine — a permanently failed measurement propagates and aborts
+    the run (graceful degradation is the sharded runner's job).
     """
-    units = spec.work_units(scale)
-    if workers <= 1 or len(units) <= 1:
-        return [
+    results: Dict[str, Any] = {}
+    for spec in resolve_artifacts(artifacts):
+        pairs = [
             (
                 unit,
                 profile_unit_call(
@@ -402,61 +377,12 @@ def execute_artifact_units(
                     lambda unit=unit: spec.execute_unit(
                         unit,
                         scale,
-                        _memory_context(replay_trace, unit, spec, broker_policy),
+                        _memory_context(spec, unit, replay_trace, broker_policy),
                     ),
                 ),
             )
-            for unit in units
+            for unit in spec.work_units(scale)
         ]
-    jobs = [
-        (
-            spec.name,
-            scale,
-            unit.to_record(),
-            replay_trace,
-            profile_dir,
-            broker_policy,
-        )
-        for unit in units
-    ]
-    with ProcessPoolExecutor(max_workers=min(workers, len(units))) as pool:
-        payloads = list(pool.map(_execute_unit_job, jobs))
-    return list(zip(units, payloads))
-
-
-def run_artifacts(
-    scale: ExperimentScale,
-    artifacts: Optional[Sequence[str]] = None,
-    workers: int = 1,
-    on_result: Optional[Callable[[ExperimentSpec, Any], None]] = None,
-    replay_trace: Optional[str] = None,
-    profile_dir: Optional[str] = None,
-    broker_policy: Optional[BrokerPolicy] = None,
-) -> Dict[str, Any]:
-    """Execute and fold artifacts in dependency order, in memory.
-
-    This is the degenerate one-worker path of the sharded backend: the
-    same units, the same seeding, the same folds — just without the
-    on-disk queue, claims and checkpoints.  ``on_result`` fires after each
-    artifact folds (dependency-closure artifacts included), which is what
-    lets the report stream section by section.  ``replay_trace`` names a
-    measurement-trace directory: learner runs replay recorded measurements
-    and record whatever they had to measure live, so a second run (or a
-    re-scoring of different acquisition arms) profiles only what the trace
-    does not already hold.  ``profile_dir`` turns on per-unit cProfile
-    dumps (the caller is responsible for merging them into a summary, see
-    :func:`repro.experiments.profiling.write_profile_summary`).
-    """
-    results: Dict[str, Any] = {}
-    for spec in resolve_artifacts(artifacts):
-        pairs = execute_artifact_units(
-            spec,
-            scale,
-            workers=workers,
-            replay_trace=replay_trace,
-            profile_dir=profile_dir,
-            broker_policy=broker_policy,
-        )
         deps = {name: results[name] for name in spec.depends_on}
         results[spec.name] = spec.fold(scale, pairs, deps)
         if on_result is not None:
@@ -494,7 +420,7 @@ def group_learner_results(
 
 
 def execute_learner_run(
-    benchmark_name: str,
+    benchmark: SpaptBenchmark,
     plan: SamplingPlan,
     plan_index: int,
     repetition: int,
@@ -506,20 +432,22 @@ def execute_learner_run(
 ) -> LearningResult:
     """One seeded active-learner run — the shared learner-unit body.
 
-    Rebuilds the benchmark and the repetition's held-out test set from
-    their deterministic seeds (matching the pool schedule of
-    ``compare_sampling_plans_suite`` exactly: the test seed depends only
-    on the repetition, the run seed on repetition × ``plan_index``),
-    resumes from the context's checkpoint when one exists — a pickled
+    ``benchmark`` must be a fresh instance owned by this run (Table 1 and
+    the ablations pass ``get_benchmark(name)``, the noise study a
+    noise-scaled copy), so every unit starts with a fresh frequency-drift
+    state.  Rebuilds the repetition's held-out test set from its
+    deterministic seed (the test seed depends only on the repetition, the
+    run seed on repetition × ``plan_index``), resumes from the context's
+    checkpoint when one exists — a pickled
     :class:`~repro.core.session.TuningSession`, whose
     ``attach_benchmark`` restores the benchmark's stateful noise
     components only *after* the test set is rebuilt here, since building
     it advances the drift walk — and returns the result with the
     surrogate model stripped (payloads must stay small and picklable).
     ``plan_index`` is whatever position the run occupies on its
-    comparison axis: the sampling-plan index for Table 1, the variant
-    index for the ablation specs.  When the context carries a
-    ``replay_trace`` directory, measurements go through a
+    comparison axis: the sampling-plan index for Table 1 and the noise
+    study, the variant index for the ablation specs.  When the context
+    carries a ``replay_trace`` directory, measurements go through a
     :class:`~repro.measurement.broker.ReplayBroker` over that trace
     (replay recorded requests, record live-measured misses).
     ``batch_size > 1`` drives the run through batch acquisition
@@ -527,7 +455,6 @@ def execute_learner_run(
     axis; the default of 1 is the paper's sequential loop.
     """
     context = context if context is not None else UnitContext()
-    benchmark = get_benchmark(benchmark_name)
     test_rng = np.random.default_rng(config.seed + 7919 * repetition)
     test_set = build_test_set(
         benchmark,
@@ -573,7 +500,7 @@ def execute_learner_run(
         if unit_id is None:
             unit_id = "--".join(
                 (
-                    slugify(benchmark_name),
+                    slugify(benchmark.name),
                     slugify(plan.name),
                     f"p{plan_index:02d}",
                     f"r{repetition:03d}",

@@ -1,28 +1,28 @@
 """Thin dispatcher over the experiment registry: run artifacts, emit a report.
 
 ``python -m repro.experiments.run_all [--scale smoke|laptop|paper]
-[--only table2,figure1,...] [--output FILE] [--workers N]
-[--replay-trace DIR] [--profile [DIR]] [--paper-scale-smoke]
-[--paper-run --run-dir DIR [--resume]] [--max-retries N]
+[--only table2,figure1,...] [--output FILE] [--replay-trace DIR]
+[--profile [DIR]] [--paper-scale-smoke]
+[--paper-run --run-dir DIR [--workers N] [--resume]] [--max-retries N]
 [--measure-timeout SECONDS] [--inject-faults SPEC]
 [--max-unit-attempts N]``
 
 Every artifact — table1, table2, figure1, figure2, figure5, figure6,
 noise_robustness, acquisition-ablation, model-ablation,
 batch-acquisition — is declared in
-:mod:`repro.experiments.registry`; this module merely selects artifacts
-(``--only``, default: the consolidated report), picks a backend, and
-streams each artifact's rendered section to ``--output``/stdout *as it
-completes* (atomic appends), so a killed report run still leaves the
-finished sections on disk.
+:mod:`repro.experiments.registry` as work units; this module merely
+selects artifacts (``--only``, default: the consolidated report), picks
+an executor, and streams each artifact's rendered section to
+``--output``/stdout *as it completes* (atomic rewrites), so a killed
+report run still leaves the finished sections on disk.
 
-Backends:
+Executors:
 
-* default — in-memory execution, the degenerate one-worker path of the
-  sharded backend (``--workers N`` fans the work units of each artifact
-  over a process pool; results are worker-count invariant);
+* default — :func:`~repro.experiments.registry.run_artifacts`, the
+  serial in-process reference executor;
 * ``--paper-run`` — the sharded, checkpointed, multi-host task queue of
-  :mod:`repro.experiments.runner` (``--run-dir``, ``--resume``), the
+  :mod:`repro.experiments.runner` (``--run-dir``, ``--resume``,
+  ``--workers N``), the only executor that runs units in parallel and the
   backend for the paper's full 2 500-example × 10-repetition evaluation;
 * ``--paper-scale-smoke`` — one benchmark end-to-end at the paper's model
   scale (5 000 particles, 500 candidates) to sanity-check throughput.
@@ -184,20 +184,17 @@ def _write_report(path: str, sections: Sequence[str]) -> None:
 
 def run_all(
     scale: Optional[ExperimentScale] = None,
-    workers: int = 1,
     artifacts: Optional[Sequence[str]] = None,
     section_sink: Optional[Callable[[str, str], None]] = None,
     replay_trace: Optional[str] = None,
     profile_dir: Optional[str] = None,
     broker_policy: Optional[BrokerPolicy] = None,
 ) -> str:
-    """Run the selected artifacts in memory and return the text report.
+    """Run the selected artifacts serially in memory; return the report.
 
-    ``workers > 1`` distributes each artifact's work units over a process
-    pool; results are deterministic and worker-count invariant (every unit
-    is seeded independently of execution order).  ``section_sink`` receives
-    ``(artifact_name, rendered_section)`` as each artifact completes —
-    the streaming hook the CLI uses for ``--output``.  ``replay_trace``
+    ``section_sink`` receives ``(artifact_name, rendered_section)`` as
+    each artifact completes — the streaming hook the CLI uses for
+    ``--output``.  ``replay_trace``
     serves measurements from a recorded
     :class:`~repro.measurement.broker.ReplayTrace` directory instead of
     live profiling — the re-scoring path for, e.g., running the
@@ -233,7 +230,6 @@ def run_all(
     run_artifacts(
         scale,
         selected,
-        workers=workers,
         on_result=on_result,
         replay_trace=replay_trace,
         profile_dir=profile_dir,
@@ -287,9 +283,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         type=int,
         default=1,
         help=(
-            "worker processes executing each artifact's work units: an "
-            "in-memory process pool for a report run, or the sharded "
-            "task-queue workers for --paper-run"
+            "worker processes executing the work units of a --paper-run "
+            "(the report run without --paper-run is serial)"
         ),
     )
     parser.add_argument(
@@ -417,6 +412,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.workers < 1:
         parser.error("--workers must be at least 1")
+    if args.workers > 1 and not args.paper_run:
+        parser.error(
+            "--workers N runs units in parallel only on the sharded backend; "
+            f"use --paper-run --run-dir DIR --workers {args.workers}"
+        )
     if args.checkpoint_interval < 1:
         parser.error("--checkpoint-interval must be at least 1")
     if args.repetitions is not None and args.repetitions < 1:
@@ -528,7 +528,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         scale = _scale_from_name(args.scale if args.scale is not None else "laptop")
         run_all(
             scale,
-            workers=args.workers,
             artifacts=artifacts,
             section_sink=section_sink,
             replay_trace=args.replay_trace,

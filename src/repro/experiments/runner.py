@@ -6,10 +6,11 @@ to decompose into seeded, order-independent work units and executes them
 from a persistent on-disk queue:
 
 * ``<run_dir>/manifest.jsonl`` — the task queue: a header fingerprinting
-  the scale and the selected artifacts plus one record per work unit,
-  written once when the run is created and validated on every resume (a
-  manifest created for a different configuration refuses to resume rather
-  than silently mixing results);
+  the scale, the selected artifacts and their ordered unit ids plus one
+  record per work unit, written once when the run is created and
+  validated on every resume (a manifest created for a different
+  configuration or decomposition refuses to resume rather than silently
+  mixing results);
 * ``<run_dir>/results/<unit>.pkl`` — one atomically written payload per
   completed unit; a unit with a result file is never re-run;
 * ``<run_dir>/checkpoints/<unit>.pkl`` — the in-flight unit's most recent
@@ -378,9 +379,14 @@ class RunManifest:
                 "work-unit ids collide after filesystem slugging; "
                 "rename the offending plan/variant names"
             )
+        # The ordered unit ids pin the decomposition: a spec that changes
+        # how it splits into units must not resume onto stale unit records.
         fingerprint = sha256(
             repr(
-                tuple((spec.name, spec.fingerprint(scale)) for spec in specs)
+                (
+                    tuple((spec.name, spec.fingerprint(scale)) for spec in specs),
+                    tuple(ids),
+                )
             ).encode("utf-8")
         ).hexdigest()[:16]
         return cls(fingerprint=fingerprint, units=tuple(units))

@@ -385,8 +385,7 @@ class DynamicTreeRegressor(SurrogateModel):
         self._depth_cache: Dict[int, Tuple[float, float, float]] = {}
         # Count-indexed NIG term tables (see LeafTermTables) and the
         # depth-indexed tree-prior table the vectorized scoring gathers
-        # from.  Accessed through getattr-guarded helpers so checkpoints
-        # pickled before these attributes existed keep loading.
+        # from, both built on first use.
         self._term_tables: Optional[LeafTermTables] = None
         self._depth_arrays: Optional[np.ndarray] = None
         # Scalar-draw frontend for the batched update: a bulk RNG replay
@@ -430,13 +429,6 @@ class DynamicTreeRegressor(SurrogateModel):
     def config(self) -> DynamicTreeConfig:
         return self._config
 
-    def _timings(self) -> Dict[str, float]:
-        """The per-phase accumulator (created on demand for old pickles)."""
-        timings = getattr(self, "_phase_timings", None)
-        if timings is None:
-            timings = dict.fromkeys(self._PHASES, 0.0)
-            self._phase_timings = timings
-        return timings
 
     @property
     def phase_timings(self) -> Dict[str, float]:
@@ -450,7 +442,7 @@ class DynamicTreeRegressor(SurrogateModel):
         Only the batched update path records; :meth:`reset_phase_timings`
         zeroes the counters.
         """
-        return dict(self._timings())
+        return dict(self._phase_timings)
 
     def reset_phase_timings(self) -> None:
         """Zero the :attr:`phase_timings` accumulators."""
@@ -512,8 +504,8 @@ class DynamicTreeRegressor(SurrogateModel):
         clone._forest_stale = {}
         clone._forest_dirty = True
         clone._depth_cache = self._depth_cache
-        clone._term_tables = getattr(self, "_term_tables", None)
-        clone._depth_arrays = getattr(self, "_depth_arrays", None)
+        clone._term_tables = self._term_tables
+        clone._depth_arrays = self._depth_arrays
         clone._replay = ReplayDraws(clone._rng)
         clone._generator_draws = GeneratorDraws(clone._rng)
         clone._draws = clone._generator_draws
@@ -729,7 +721,7 @@ class DynamicTreeRegressor(SurrogateModel):
         X = np.atleast_2d(np.asarray(features, dtype=float))
         count = float(len(self._particles))
         mean, variance = self._ensure_forest().predict_components(X)
-        if getattr(self._config, "float_mode", "exact") == "fast":
+        if self._config.float_mode == "fast":
             # Pairwise reductions: tolerance-tested against the sequential
             # accumulation, not bit-identical to it.
             means = np.add.reduce(mean, axis=0) / count
@@ -801,7 +793,7 @@ class DynamicTreeRegressor(SurrogateModel):
         # reference-variance mass of the entire forest.
         reference_leaf_ids = forest.route(R)
         reference_variance = forest.leaf_variance[reference_leaf_ids]
-        fast = getattr(self._config, "float_mode", "exact") == "fast"
+        fast = self._config.float_mode == "fast"
         # Sequential (cumsum) accumulation keeps every score bit-identical to
         # the reference loop; bincount also adds weights in input order.  In
         # fast mode the pairwise np.add.reduce stands in (tolerance-tested).
@@ -920,15 +912,12 @@ class DynamicTreeRegressor(SurrogateModel):
         deep-copying them, and the routing arrays are permuted to the
         post-resample particle order.
         """
-        timings = self._timings()
+        timings = self._phase_timings
         tic = perf_counter()
         particles = self._particles
         count = len(particles)
         config = self._config
-        kernels = get_kernels(
-            getattr(config, "backend", "numpy"),
-            getattr(config, "float_mode", "exact") == "fast",
-        )
+        kernels = get_kernels(config.backend, config.float_mode == "fast")
         forest = self._ensure_forest()
         gids, nodes, parents, depths = kernels.route_update(
             forest.split_dim,
@@ -1037,11 +1026,10 @@ class DynamicTreeRegressor(SurrogateModel):
         """The count-indexed NIG term tables for the current prior.
 
         Rebuilt whenever :meth:`fit` installs a fresh :class:`LMLCache`
-        (identity check), and lazily created on models unpickled from
-        checkpoints that predate the attribute.
+        (identity check).
         """
         assert self._lml is not None
-        tables = getattr(self, "_term_tables", None)
+        tables = self._term_tables
         if tables is None or tables.lml is not self._lml:
             tables = LeafTermTables(self._lml)
             self._term_tables = tables
@@ -1054,7 +1042,7 @@ class DynamicTreeRegressor(SurrogateModel):
         head ``log(p) + 2*log1p(-p_child)``, and ``log(p)``.  The values
         depend only on the frozen config, so the table never goes stale.
         """
-        table = getattr(self, "_depth_arrays", None)
+        table = self._depth_arrays
         if table is None or table.shape[0] <= max_depth:
             size = max(16, 2 * (max_depth + 1))
             table = np.empty((size, 3))
@@ -1159,14 +1147,14 @@ class DynamicTreeRegressor(SurrogateModel):
         """
         assert self._prior is not None and self._lml is not None
         assert self._X is not None and self._y is not None
-        timings = self._timings()
+        timings = self._phase_timings
         tic = perf_counter()
         particles = self._particles
         count = len(particles)
         config = self._config
         min_leaf = config.min_leaf
         n_candidates = config.n_split_candidates
-        fast = getattr(config, "float_mode", "exact") == "fast"
+        fast = config.float_mode == "fast"
         dims = x.shape[0]
         neg_inf = -math.inf
         flats = self._flat
@@ -1351,7 +1339,7 @@ class DynamicTreeRegressor(SurrogateModel):
         # arithmetic elementwise — the expression grouping and the scalar-
         # rounded log map keep every score bit-identical to the LMLCache
         # evaluation the reference path performs.
-        kernels = get_kernels(getattr(config, "backend", "numpy"), fast)
+        kernels = get_kernels(config.backend, fast)
         tables = self._leaf_term_tables()
         prior = self._prior
         prior_beta = prior.beta

@@ -393,11 +393,9 @@ class TestNameBasedFactories:
             make_model("transformer")
 
     def test_comparison_resolves_plan_and_acquisition_names(self):
-        from repro.core.comparison import resolve_acquisition, resolve_plans
+        from repro.core.comparison import resolve_acquisition
 
-        plans = resolve_plans(["all-observations", sequential_plan()])
-        assert plans[0] == fixed_plan(35)
-        assert plans[1].is_sequential
+        assert make_plan("all-observations") == fixed_plan(35)
         assert resolve_acquisition("alm").name == "alm"
         assert resolve_acquisition(None).name == "alc"
 

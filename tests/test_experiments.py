@@ -8,11 +8,11 @@ import pytest
 from repro.experiments.config import ExperimentScale
 from repro.experiments.figure1 import run_figure1
 from repro.experiments.figure2 import run_figure2
-from repro.experiments.figure5 import figure5_from_table1, run_figure5
-from repro.experiments.figure6 import PAPER_FIGURE6_BENCHMARKS, run_figure6
+from repro.experiments.figure5 import figure5_from_table1
+from repro.experiments.figure6 import PAPER_FIGURE6_BENCHMARKS
+from repro.experiments.registry import run_artifacts
 from repro.experiments.reporting import format_scientific, format_table, to_csv
-from repro.experiments.table1 import PAPER_TABLE1_SPEEDUPS, run_table1
-from repro.experiments.table2 import run_table2
+from repro.experiments.table1 import PAPER_TABLE1_SPEEDUPS
 
 
 SCALE = ExperimentScale.smoke(benchmarks=("mm",))
@@ -58,10 +58,15 @@ class TestExperimentScale:
         assert config.test_size == scale.test_size
 
 
+@pytest.fixture(scope="module")
+def table1_and_figure6():
+    return run_artifacts(SCALE, ["table1", "figure6"])
+
+
 class TestTable1:
     @pytest.fixture(scope="class")
-    def result(self):
-        return run_table1(SCALE)
+    def result(self, table1_and_figure6):
+        return table1_and_figure6["table1"]
 
     def test_rows_per_benchmark(self, result):
         assert [row.benchmark for row in result.rows] == ["mm"]
@@ -101,7 +106,7 @@ class TestTable1:
 class TestTable2:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_table2(SCALE)
+        return run_artifacts(SCALE, ["table2"])["table2"]
 
     def test_row_fields_ordered(self, result):
         row = result.rows[0]
@@ -117,7 +122,8 @@ class TestTable2:
         assert "Table 2" in result.render()
 
     def test_noisy_benchmark_has_larger_variance(self):
-        result = run_table2(ExperimentScale.smoke(benchmarks=("mvt", "correlation")))
+        scale = ExperimentScale.smoke(benchmarks=("mvt", "correlation"))
+        result = run_artifacts(scale, ["table2"])["table2"]
         by_name = {row.benchmark: row for row in result.rows}
         assert (
             by_name["correlation"].variance_mean > by_name["mvt"].variance_mean * 10
@@ -176,8 +182,8 @@ class TestFigure2:
 
 
 class TestFigure5And6:
-    def test_figure5_from_table1(self):
-        table1 = run_table1(SCALE)
+    def test_figure5_from_table1(self, table1_and_figure6):
+        table1 = table1_and_figure6["table1"]
         figure5 = figure5_from_table1(table1)
         assert len(figure5.bars) == len(table1.rows)
         assert figure5.geometric_mean_speedup == pytest.approx(
@@ -185,8 +191,8 @@ class TestFigure5And6:
         )
         assert "Figure 5" in figure5.render()
 
-    def test_figure6_panels(self):
-        result = run_figure6(SCALE, benchmarks=["mm"])
+    def test_figure6_panels(self, table1_and_figure6):
+        result = table1_and_figure6["figure6"]
         assert set(result.panels) == {"mm"}
         panel = result.panels["mm"]
         series = panel.series("variable observations")

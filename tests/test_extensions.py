@@ -7,6 +7,8 @@ future work.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,10 @@ from repro.core.learner import ActiveLearner, LearnerConfig
 from repro.core.plans import SamplingPlan, adaptive_ci_plan
 from repro.experiments.config import ExperimentScale
 from repro.experiments.noise_robustness import (
-    run_noise_robustness,
+    DEFAULT_NOISE_MULTIPLIERS,
     scaled_benchmark,
 )
+from repro.experiments.registry import UnitContext, get_spec, run_artifacts
 from repro.spapt.suite import get_benchmark
 
 SMALL = LearnerConfig(
@@ -114,11 +117,55 @@ class TestNoiseRobustness:
 
     def test_run_noise_robustness_smoke(self):
         scale = ExperimentScale.smoke(benchmarks=("mm",))
-        result = run_noise_robustness(
-            scale, benchmark_name="mm", noise_multipliers=(1.0, 3.0)
+        result = run_artifacts(scale, ["noise_robustness"])["noise_robustness"]
+        assert result.benchmark == "mm"
+        assert [level.noise_multiplier for level in result.levels] == list(
+            DEFAULT_NOISE_MULTIPLIERS
         )
-        assert [level.noise_multiplier for level in result.levels] == [1.0, 3.0]
         for level in result.levels:
             assert level.speedup > 0
             assert level.baseline_cost_seconds > 0
         assert "Noise-injection robustness" in result.render()
+
+    def test_noise_unit_resumes_bit_identically_from_checkpoint(self):
+        """A noise unit is a checkpointable learner unit: resuming from a
+        mid-run checkpoint on a noise-scaled drift benchmark continues the
+        exact trajectory."""
+
+        class Context(UnitContext):
+            checkpoint_interval = 8
+
+            def __init__(self, resume=None):
+                self.blobs = []
+                self.resume = resume
+
+            def load_checkpoint(self):
+                return None if self.resume is None else pickle.loads(self.resume)
+
+            def save_checkpoint(self, state):
+                self.blobs.append(pickle.dumps(state))
+
+        scale = ExperimentScale.smoke(benchmarks=("adi",))
+        spec = get_spec("noise_robustness")
+        unit = next(
+            u
+            for u in spec.work_units(scale)
+            if u.params["multiplier"] == 2.0 and u.params["plan_index"] == 2
+        )
+        recording = Context()
+        baseline = spec.execute_unit(unit, scale, recording)
+        assert len(recording.blobs) >= 2
+        resumed = spec.execute_unit(unit, scale, Context(resume=recording.blobs[1]))
+        assert resumed.curve.points == baseline.curve.points
+        assert resumed.ledger.total_seconds == baseline.ledger.total_seconds
+
+    def test_unit_calibration_level_matches_table1_on_drift_benchmark(self):
+        """Noise units are ordinary learner units: on adi (frequency drift)
+        the 1x level reproduces Table 1's comparison exactly, because every
+        unit starts from a fresh drift state seeded only by its coordinates."""
+        scale = ExperimentScale.smoke(benchmarks=("adi",))
+        results = run_artifacts(scale, ["table1", "noise_robustness"])
+        table1 = results["table1"].comparisons["adi"]
+        level = results["noise_robustness"].comparisons[1.0]
+        assert level.lowest_common_rmse == table1.lowest_common_rmse
+        assert level.cost_to_reach == table1.cost_to_reach

@@ -11,10 +11,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.comparison import ComparisonConfig, compare_sampling_plans
+from repro.core.comparison import ComparisonConfig, assemble_comparison
 from repro.core.evaluation import build_test_set, evaluate_rmse
 from repro.core.learner import ActiveLearner, LearnerConfig
-from repro.core.plans import fixed_plan, sequential_plan
+from repro.core.plans import fixed_plan, sequential_plan, standard_plans
+from repro.experiments.registry import execute_learner_run
 from repro.ir.transforms import CacheTile, LoopUnroll, TransformPipeline, UnrollAndJam
 from repro.machine.cost_model import MachineCostModel
 from repro.measurement.profiler import Profiler
@@ -97,11 +98,20 @@ class TestLearningQuality:
         assert variable_result.total_observations < fixed_result.total_observations
 
     def test_comparison_speedup_positive_on_quiet_benchmark(self):
-        lu = get_benchmark("lu")
         config = ComparisonConfig(
             learner=CONFIG, repetitions=1, test_size=40, test_observations=3, seed=3
         )
-        comparison = compare_sampling_plans(lu, config=config)
+        plans = standard_plans()
+        comparison = assemble_comparison(
+            "lu",
+            [plan.name for plan in plans],
+            {
+                plan.name: [
+                    execute_learner_run(get_benchmark("lu"), plan, index, 0, config)
+                ]
+                for index, plan in enumerate(plans)
+            },
+        )
         # On a near-noise-free benchmark the variable plan must reach the
         # common error level at least as cheaply as the 35-sample baseline.
         assert comparison.speedup("all observations", "variable observations") >= 1.0

@@ -1,4 +1,9 @@
-"""Tests for the active-learning loop (Algorithm 1) and the plan comparison."""
+"""Tests for the active-learning loop (Algorithm 1) and the plan comparison.
+
+Plan comparisons are built the way the registry builds them: one
+:func:`~repro.experiments.registry.execute_learner_run` unit per plan,
+folded by :func:`~repro.core.comparison.assemble_comparison`.
+"""
 
 from __future__ import annotations
 
@@ -6,10 +11,11 @@ import numpy as np
 import pytest
 
 from repro.core.acquisition import ALMAcquisition, RandomAcquisition
-from repro.core.comparison import ComparisonConfig, compare_sampling_plans, speedup_between
+from repro.core.comparison import ComparisonConfig, assemble_comparison
 from repro.core.evaluation import TestSet, build_test_set, evaluate_rmse
 from repro.core.learner import ActiveLearner, LearnerConfig, LearningResult
 from repro.core.plans import fixed_plan, sequential_plan, standard_plans
+from repro.experiments.registry import execute_learner_run
 from repro.models.baselines import KNNRegressor
 from repro.spapt.suite import get_benchmark
 
@@ -228,12 +234,23 @@ class TestActiveLearner:
         assert result.curve.best_error < first_rmse
 
 
+def _compare(name, plans, config):
+    """One learner unit per plan (repetition 0), folded into a comparison."""
+    results = {
+        plan.name: [
+            execute_learner_run(get_benchmark(name), plan, index, 0, config)
+        ]
+        for index, plan in enumerate(plans)
+    }
+    return assemble_comparison(name, [plan.name for plan in plans], results)
+
+
 class TestComparison:
-    def test_compare_sampling_plans_structure(self, mm):
+    def test_compare_sampling_plans_structure(self):
         config = ComparisonConfig(
             learner=SMALL, repetitions=1, test_size=30, test_observations=2, seed=5
         )
-        comparison = compare_sampling_plans(mm, config=config)
+        comparison = _compare("mm", standard_plans(), config)
         assert set(comparison.curves) == {
             "all observations",
             "one observation",
@@ -242,9 +259,12 @@ class TestComparison:
         assert comparison.lowest_common_rmse > 0
         for cost in comparison.cost_to_reach.values():
             assert cost > 0
-        speedup = speedup_between(comparison)
+        speedup = comparison.speedup("all observations", "variable observations")
         assert speedup > 0
-        assert comparison.speedup("all observations", "variable observations") == speedup
+        assert speedup == (
+            comparison.cost_to_reach["all observations"]
+            / comparison.cost_to_reach["variable observations"]
+        )
 
     def test_comparison_validation(self):
         with pytest.raises(ValueError):
@@ -252,11 +272,11 @@ class TestComparison:
         with pytest.raises(ValueError):
             ComparisonConfig(test_size=0)
 
-    def test_unknown_plan_name_raises(self, mm):
+    def test_unknown_plan_name_raises(self):
         config = ComparisonConfig(
             learner=SMALL, repetitions=1, test_size=20, test_observations=2
         )
-        comparison = compare_sampling_plans(mm, plans=[fixed_plan(1)], config=config)
+        comparison = _compare("mm", [fixed_plan(1)], config)
         with pytest.raises(KeyError):
             comparison.speedup("all observations", "one observation")
 

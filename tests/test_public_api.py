@@ -154,11 +154,10 @@ class TestRunAll:
             run_paper_run,
             spec_names,
         )
-        from repro.core import LearnerCheckpoint
 
         for obj in (ExperimentRunner, ExperimentSpec, RunManifest, RunnerError,
                     UnitContext, WorkUnit, get_spec, run_artifacts,
-                    run_paper_run, spec_names, LearnerCheckpoint):
+                    run_paper_run, spec_names):
             assert obj.__doc__
 
     def test_every_registered_spec_satisfies_the_contract(self):

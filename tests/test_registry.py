@@ -3,10 +3,9 @@
 The load-bearing guarantees:
 
 * **round trip** — every registered spec decomposes into units, executes
-  sharded over the task-queue backend, and folds to a report identical to
-  the serial in-memory path; artifacts with a pre-refactor serial driver
-  additionally match that driver's output (pinned on ``mm``, whose noise
-  model is stateless, so per-unit benchmark rebuilds cannot drift);
+  sharded over the task-queue backend with two workers, and folds to a
+  report identical to the serial in-memory executor; the single-unit
+  sweeps (Figures 1 and 2) also match their sweep bodies called directly;
 * **multi-host claims** — two runners sharing one run directory never
   execute the same unit twice (O_EXCL claim files), and a claim whose
   lease expired is taken over by exactly one contender;
@@ -30,8 +29,6 @@ from repro.core.learner import LearnerConfig
 from repro.experiments.config import ExperimentScale
 from repro.experiments.figure1 import run_figure1
 from repro.experiments.figure2 import run_figure2
-from repro.experiments.figure6 import run_figure6
-from repro.experiments.noise_robustness import run_noise_robustness
 from repro.experiments.registry import (
     DEFAULT_ARTIFACTS,
     UnitContext,
@@ -46,8 +43,6 @@ from repro.experiments.runner import (
     _execute_unit,
     _try_claim,
 )
-from repro.experiments.table1 import run_table1
-from repro.experiments.table2 import run_table2
 
 ALL_ARTIFACTS = (
     "table2",
@@ -125,8 +120,7 @@ class TestRegistry:
 
 class TestRoundTrip:
     """Every registered spec: decompose → execute sharded → fold equals the
-    serial in-memory path (and the pre-refactor serial driver where one
-    exists)."""
+    serial in-memory executor."""
 
     @pytest.fixture(scope="class")
     def serial(self):
@@ -144,28 +138,11 @@ class TestRoundTrip:
     def test_sharded_fold_equals_serial(self, artifact, serial, sharded):
         assert sharded[artifact].render() == serial[artifact].render()
 
-    def test_serial_equals_driver_table1(self, serial):
-        assert serial["table1"].render() == run_table1(SCALE).render()
-
-    def test_serial_equals_driver_table2(self, serial):
-        assert serial["table2"].render() == run_table2(SCALE).render()
-
     def test_serial_equals_driver_figure1(self, serial):
         assert serial["figure1"].render() == run_figure1(SCALE).render()
 
     def test_serial_equals_driver_figure2(self, serial):
         assert serial["figure2"].render() == run_figure2(SCALE).render()
-
-    def test_serial_equals_driver_figure6(self, serial):
-        assert serial["figure6"].render() == run_figure6(SCALE).render()
-
-    def test_serial_equals_driver_noise_robustness(self, serial):
-        driver = run_noise_robustness(SCALE, benchmark_name="mm")
-        assert serial["noise_robustness"].render() == driver.render()
-
-    def test_workers_do_not_change_serial_results(self, serial):
-        pooled = run_artifacts(SCALE, ["table2"], workers=2)
-        assert pooled["table2"].render() == serial["table2"].render()
 
     def test_ablation_reports_cover_every_variant(self, serial):
         acquisition = serial["acquisition-ablation"]
@@ -390,6 +367,14 @@ class TestStreamingReport:
         with pytest.raises(SystemExit):
             main(["--only", "table3"])
         assert "unknown artifact" in capsys.readouterr().err
+
+    def test_cli_rejects_workers_without_paper_run(self, capsys):
+        from repro.experiments.run_all import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--scale", "smoke", "--only", "table2", "--workers", "2"])
+        assert excinfo.value.code != 0
+        assert "--paper-run --run-dir DIR --workers 2" in capsys.readouterr().err
 
     def test_cli_rejects_only_with_paper_scale_smoke(self, capsys):
         from repro.experiments.run_all import main

@@ -2,12 +2,12 @@
 
 Covers the on-disk task queue (manifest round-trips, resume guards), the
 learner checkpoint/resume path (bit-identical continuation, including
-benchmarks with stateful drift noise), equivalence of the sharded backend
-with the established process-pool schedule, and — the headline guarantee —
+benchmarks with stateful drift noise), and — the headline guarantee —
 that a ``run_all --paper-run`` invocation killed mid-flight resumes from
 its checkpoints and produces results identical to an uninterrupted run.
-The registry-level guarantees (every artifact's sharded fold equals its
-serial driver, multi-host claim contention) live in ``test_registry.py``.
+The registry-level guarantees (every artifact's sharded fold equals the
+serial in-memory executor, multi-host claim contention) live in
+``test_registry.py``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.comparison import compare_sampling_plans_suite
 from repro.core.evaluation import build_test_set
 from repro.core.learner import ActiveLearner, LearnerConfig
 from repro.core.plans import sequential_plan
@@ -35,7 +34,7 @@ from repro.experiments.runner import (
     RunnerError,
     WorkUnit,
 )
-from repro.experiments.registry import resolve_artifacts
+from repro.experiments.registry import get_spec, resolve_artifacts
 from repro.spapt.suite import get_benchmark
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -117,6 +116,20 @@ class TestWorkUnitsAndManifest:
     def test_prepare_rejects_mismatched_artifacts(self, tmp_path):
         ExperimentRunner(tmp_path, _small_scale(), artifacts=["table1"]).prepare()
         other = ExperimentRunner(tmp_path, _small_scale(), artifacts=["table2"])
+        with pytest.raises(RunnerError, match="different experiment"):
+            other.prepare(resume=True)
+
+    def test_prepare_rejects_changed_decomposition(self, tmp_path, monkeypatch):
+        """A spec that splits into different units since the run was
+        created must not resume onto the stale unit records, even though
+        its own fingerprint is unchanged."""
+        ExperimentRunner(tmp_path, _small_scale(), artifacts=["table1"]).prepare()
+        spec = get_spec("table1")
+        original = type(spec).work_units
+        monkeypatch.setattr(
+            type(spec), "work_units", lambda self, scale: original(self, scale)[:-1]
+        )
+        other = ExperimentRunner(tmp_path, _small_scale(), artifacts=["table1"])
         with pytest.raises(RunnerError, match="different experiment"):
             other.prepare(resume=True)
 
@@ -207,24 +220,6 @@ class TestCheckpointResume:
 
 
 class TestRunnerEquivalence:
-    def test_sharded_run_matches_pool_schedule(self, tmp_path):
-        """The merged comparisons equal ``compare_sampling_plans_suite``'s
-        pool-mode output bit-for-bit (same per-unit seeding)."""
-        scale = _small_scale()
-        runner = ExperimentRunner(
-            tmp_path / "run", scale, artifacts=["table1"], checkpoint_interval=5
-        )
-        merged = runner.run(workers=2)["table1"].comparisons
-        suite = compare_sampling_plans_suite(
-            ["mm"], config=scale.comparison_config(), workers=2
-        )
-        for plan_name, curve in merged["mm"].curves.items():
-            expected = suite["mm"].curves[plan_name]
-            assert np.array_equal(curve.costs(), expected.costs())
-            assert np.array_equal(curve.errors(), expected.errors())
-        assert merged["mm"].lowest_common_rmse == suite["mm"].lowest_common_rmse
-        assert merged["mm"].cost_to_reach == suite["mm"].cost_to_reach
-
     def test_completed_run_resumes_to_identical_merge(self, tmp_path):
         scale = _small_scale(repetitions=1)
         runner = ExperimentRunner(tmp_path / "run", scale, artifacts=["table1"])

@@ -30,7 +30,7 @@ import pytest
 from repro.core.curves import CurvePoint, LearningCurve
 from repro.core.candidates import CandidatePool
 from repro.core.evaluation import build_test_set, evaluate_rmse
-from repro.core.learner import ActiveLearner, LearnerCheckpoint, LearnerConfig
+from repro.core.learner import ActiveLearner, LearnerConfig
 from repro.core.plans import adaptive_ci_plan, fixed_plan, sequential_plan
 from repro.core.session import DONE, LEARNING, SEEDING, TuningSession
 from repro.measurement.broker import (
@@ -422,10 +422,6 @@ class TestSessionPickle:
         session = pickle.loads(pickle.dumps(learner.start_session(_test_set(mm))))
         with pytest.raises(ValueError, match="benchmark"):
             session.attach_benchmark(get_benchmark("adi"))
-
-    def test_learner_checkpoint_is_the_session(self):
-        """The old checkpoint name survives as an alias of the session."""
-        assert LearnerCheckpoint is TuningSession
 
     def test_foreign_pickle_state_rejected(self):
         session = TuningSession.__new__(TuningSession)
@@ -831,7 +827,7 @@ class TestRunAllFlag:
 
         seen = {}
 
-        def fake_run_artifacts(scale, selected, workers=1, on_result=None,
+        def fake_run_artifacts(scale, selected, on_result=None,
                                replay_trace=None, profile_dir=None,
                                broker_policy=None):
             seen["memory"] = replay_trace
