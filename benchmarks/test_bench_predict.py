@@ -7,7 +7,8 @@ flat-array kernel (:mod:`repro.models.flat_tree`).  The benchmarks here pit
 that kernel against the per-node reference implementation (the seed's
 pure-Python descent loops, kept as ``predict_reference`` /
 ``expected_average_variance_reference``) at "bench scale": 60 candidates ×
-40 reference points × 40 particles.
+40 reference points × 40 particles.  One case scores ALC at the paper's
+sizes instead: 5 000 particles, 500 candidates, 100 reference points.
 
 Results are exported to ``BENCH_model.json`` (see ``conftest.py``), so the
 vectorized-vs-reference ratio — the before/after speedup — is recorded
@@ -15,6 +16,8 @@ machine-readably on every run.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pytest
@@ -26,6 +29,11 @@ N_REFERENCE = 40
 N_PARTICLES = 40
 N_TRAIN = 150
 DIMS = 6
+
+PAPER_PARTICLES = 5000
+PAPER_TRAIN = 40
+PAPER_CANDIDATES = 500
+PAPER_REFERENCE = 100
 
 
 def _make_model(vectorized: bool):
@@ -105,3 +113,43 @@ def test_bench_batched_predict(benchmark, batch):
 
     prediction = benchmark(model.predict, X)
     assert prediction.mean.shape == (batch,)
+
+
+@pytest.mark.benchmark(group="predict-alc")
+def test_bench_alc_paper_particles(benchmark):
+    """One ALC scoring pass at the paper's particle and candidate counts.
+
+    The state is seeded and grown deterministically (40 observations,
+    ~4.5 leaves per particle, set-up ~6 s).  Every round scores a freshly
+    unpickled copy of it, so the forest sync and the routing structure are
+    built inside the timed call, as they are after every real update.
+    """
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-1.5, 1.5, size=(PAPER_TRAIN, DIMS))
+    y = (
+        1.0
+        + 0.3 * X[:, 0]
+        + np.where(X[:, 1] > 0, 0.5, 0.0)
+        + rng.normal(0, 0.02, PAPER_TRAIN)
+    )
+    model = DynamicTreeRegressor(
+        DynamicTreeConfig(n_particles=PAPER_PARTICLES), rng=np.random.default_rng(1)
+    )
+    model.fit(X, y)
+    state = pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
+    del model
+    candidates = rng.uniform(-1.5, 1.5, size=(PAPER_CANDIDATES, DIMS))
+    reference = candidates[
+        rng.choice(PAPER_CANDIDATES, size=PAPER_REFERENCE, replace=False)
+    ]
+
+    def fresh_state():
+        return (pickle.loads(state), candidates, reference), {}
+
+    scores = benchmark.pedantic(
+        DynamicTreeRegressor.expected_average_variance,
+        setup=fresh_state,
+        rounds=5,
+        warmup_rounds=1,
+    )
+    assert scores.shape == (PAPER_CANDIDATES,)

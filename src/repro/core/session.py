@@ -250,11 +250,6 @@ class TuningSession:
             raise AttributeError(
                 "incompatible checkpoint: not a pickled TuningSession"
             )
-        # Sessions pickled before batch acquisition landed lack the batch
-        # bookkeeping; default it so they resume on the sequential path.
-        state.setdefault("_batch_requests", [])
-        state.setdefault("_batch_results", {})
-        state.setdefault("_fold_start", 0)
         self.__dict__.update(state)
 
     def attach_benchmark(self, benchmark) -> None:

@@ -27,10 +27,11 @@ Leaves use the constant (Gaussian) model of :mod:`repro.models.leaf`; the
 tree prior is the standard Chipman-George-McCulloch
 ``p_split(depth) = alpha * (1 + depth)^-beta``.
 
-Prediction and the ALC score are served from per-particle
-:class:`~repro.models.flat_tree.FlatTree` compilations — flat NumPy arrays
-descended level-by-level for a whole batch of rows at once — rather than
-per-row Python ``descend()`` loops.
+Prediction and the ALC score are served from the concatenated
+:class:`~repro.models.flat_tree.FlatForest` of the per-particle
+:class:`~repro.models.flat_tree.FlatTree` compilations, which routes a
+whole batch of rows through each distinct subtree of the forest once —
+rather than per-row Python ``descend()`` loops.
 
 The sequential **update** path (Algorithm 1's per-observation model update)
 is batched across particles as well, which is what makes paper-scale
@@ -105,6 +106,30 @@ def _sequential_sum(values: np.ndarray) -> float:
     if values.size == 0:
         return 0.0
     return float(np.cumsum(values)[-1])
+
+
+#: Column count from which :func:`_particle_sum` adds whole rows.
+_ROW_SUM_WIDTH = 128
+
+
+def _particle_sum(values: np.ndarray) -> np.ndarray:
+    """Column sums of an ``(n_particles, n)`` array, one particle at a time.
+
+    Bit-identical to ``np.cumsum(values, axis=0)[-1]`` — the sequential
+    particle order of the reference loops.  That cumsum walks each column
+    down a strided axis, a few nanoseconds per element (over 10 at 5 000
+    particles × 500 columns); adding one contiguous row at a time costs
+    about half a microsecond of Python per particle instead.  So arrays
+    with many columns (an ALC candidate batch, a curve-evaluation test set)
+    are summed row by row and narrow ones by the cumsum; both add in the
+    same order.
+    """
+    if values.shape[1] < _ROW_SUM_WIDTH:
+        return np.cumsum(values, axis=0)[-1]
+    total = values[0].copy()
+    for row in values[1:]:
+        total += row
+    return total
 
 
 @dataclass(frozen=True)
@@ -399,29 +424,6 @@ class DynamicTreeRegressor(SurrogateModel):
         # ``phase_timings``); plain floats, negligible next to the work
         # they measure.
         self._phase_timings = dict.fromkeys(self._PHASES, 0.0)
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        # Checkpoints written before the cache rows carried sufficient
-        # statistics, or before compilations recorded their leaf-node
-        # mapping, hold flat state the batched gather phase cannot use:
-        # drop it and let the next update recompile lazily.
-        flats = self.__dict__.get("_flat") or []
-        stale = any(
-            flat is not None
-            and (
-                flat.caches.data.shape[1] != LeafCacheArrays.N_COLUMNS
-                or getattr(flat, "leaf_nodes", None) is None
-            )
-            for flat in flats
-        )
-        if stale:
-            self._flat = [None] * len(flats)
-            self._flat_shared = [False] * len(flats)
-            self._forest = None
-            self._forest_cache = None
-            self._forest_stale = {}
-            self._forest_dirty = True
 
     # ----------------------------------------------------------- properties
 
@@ -727,11 +729,10 @@ class DynamicTreeRegressor(SurrogateModel):
             means = np.add.reduce(mean, axis=0) / count
             second_moments = np.add.reduce(variance + mean * mean, axis=0)
         else:
-            # cumsum(axis=0)[-1] accumulates over particles in the same
-            # sequential order as the reference loop, keeping the result
-            # bit-identical.
-            means = np.cumsum(mean, axis=0)[-1] / count
-            second_moments = np.cumsum(variance + mean * mean, axis=0)[-1]
+            # Accumulating over particles in the same sequential order as
+            # the reference loop keeps the result bit-identical.
+            means = _particle_sum(mean) / count
+            second_moments = _particle_sum(variance + mean * mean)
         variances = np.maximum(second_moments / count - means ** 2, 1e-18)
         return Prediction(mean=means, variance=variances)
 
@@ -774,10 +775,11 @@ class DynamicTreeRegressor(SurrogateModel):
         Averaging the remaining variance over the reference set and over
         particles gives the quantity Algorithm 1 minimises.
 
-        Vectorized: per particle, the reference and candidate batches are
-        routed to integer leaf ids in one pass each; the per-leaf reference
-        variance mass is a ``bincount`` and the candidate reductions are
-        gathers — no Python-level descent and no ``id(node)`` dictionaries.
+        Vectorized: candidates and reference rows are routed to global leaf
+        ids in one forest pass; the per-leaf reference variance mass is a
+        ``bincount``, the shrink is folded in per leaf, and the candidate
+        reductions are one gather — no Python-level descent and no
+        ``id(node)`` dictionaries.
         """
         if not self._particles or not self._n:
             raise RuntimeError("the model has no training data yet")
@@ -785,18 +787,22 @@ class DynamicTreeRegressor(SurrogateModel):
             return self.expected_average_variance_reference(candidates, reference)
         C = np.atleast_2d(np.asarray(candidates, dtype=float))
         R = np.atleast_2d(np.asarray(reference, dtype=float))
+        n_candidates = C.shape[0]
         n_reference = R.shape[0]
         kappa = self._prior.kappa if self._prior is not None else 0.1
         forest = self._ensure_forest()
-        # (n_particles, n_reference) global leaf ids; leaf ids never collide
-        # across particles, so one bincount aggregates the per-leaf
-        # reference-variance mass of the entire forest.
-        reference_leaf_ids = forest.route(R)
+        # (n_particles, n_candidates + n_reference) global leaf ids; leaf ids
+        # never collide across particles, so one bincount aggregates the
+        # per-leaf reference-variance mass of the entire forest.
+        leaf_ids = forest.route(np.vstack([C, R]))
+        candidate_leaf_ids = leaf_ids[:, :n_candidates]
+        reference_leaf_ids = leaf_ids[:, n_candidates:]
         reference_variance = forest.leaf_variance[reference_leaf_ids]
         fast = self._config.float_mode == "fast"
-        # Sequential (cumsum) accumulation keeps every score bit-identical to
-        # the reference loop; bincount also adds weights in input order.  In
-        # fast mode the pairwise np.add.reduce stands in (tolerance-tested).
+        # Sequential accumulation (cumsum over reference rows, row by row
+        # over particles) keeps every score bit-identical to the reference
+        # loop; bincount also adds weights in input order.  In fast mode
+        # np.add.reduce stands in (tolerance-tested).
         if fast:
             base_total = np.add.reduce(reference_variance, axis=1)
         else:
@@ -806,14 +812,15 @@ class DynamicTreeRegressor(SurrogateModel):
             weights=reference_variance.ravel(),
             minlength=forest.n_leaves,
         )
-        candidate_leaf_ids = forest.route(C)
-        shrink = 1.0 / (forest.leaf_count[candidate_leaf_ids] + kappa + 1.0)
-        reduction = variance_by_leaf[candidate_leaf_ids] * shrink
+        # The same per-element product as shrinking after the gather, so
+        # folding it per leaf first changes no score bit.
+        reduction_by_leaf = variance_by_leaf * (1.0 / (forest.leaf_count + kappa + 1.0))
+        reduction = reduction_by_leaf[candidate_leaf_ids]
         spread = (base_total[:, None] - reduction) / n_reference
         if fast:
             scores = np.add.reduce(spread, axis=0)
         else:
-            scores = np.cumsum(spread, axis=0)[-1]
+            scores = _particle_sum(spread)
         return scores / len(self._particles)
 
     def expected_average_variance_reference(

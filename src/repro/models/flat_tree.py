@@ -18,6 +18,10 @@ terms of the predictive log-pdf consumed by the batched SMC reweight step.
 **stable integer leaf ids** (positions in pre-order), which downstream code
 uses instead of fragile ``id(node)`` dictionary keys.
 
+:class:`FlatForest` concatenates every particle's compilation, and its
+:meth:`~FlatForest.route` numbers the forest's distinct subtrees once
+(:class:`SharedSubtrees`) so each row visits each distinct subtree once.
+
 A flat tree stays valid as long as the particle's *structure* is unchanged:
 a "stay" move only sharpens one leaf's sufficient statistics, which
 :meth:`patch_leaf` mirrors in O(1) without recompiling; "grow"/"prune"
@@ -36,7 +40,7 @@ import numpy as np
 from .compiled_kernels import route_all_numpy
 from .leaf import GaussianLeafModel, LeafCacheArrays
 
-__all__ = ["FlatTree", "FlatForest", "IncrementalForest"]
+__all__ = ["FlatTree", "FlatForest", "SharedSubtrees", "IncrementalForest"]
 
 
 class FlatTree:
@@ -397,9 +401,10 @@ class FlatForest:
     dispatch cost per (particle, level); at bench scale (tens of particles,
     tens of rows) that overhead dominates.  The forest concatenates every
     particle's node and leaf arrays — child indices and leaf ids shifted by
-    per-particle offsets — so one :meth:`route` call descends all
-    ``n_particles × n_rows`` (particle, row) pairs together, and the array
-    ops run over thousands of elements instead of dozens.
+    per-particle offsets — so one :meth:`route` call serves all
+    ``n_particles × n_rows`` (particle, row) pairs together, routing each
+    row through each *distinct* subtree of the forest once (see
+    :class:`SharedSubtrees`).
 
     Leaf ids returned by the forest are *global*: particle ``p``'s local
     leaf ``i`` becomes ``leaf_offsets[p] + i``.  ``n_leaves`` is the total,
@@ -418,6 +423,7 @@ class FlatForest:
         "leaf_offsets",
         "n_particles",
         "n_leaves",
+        "_subtrees",
     )
 
     def __init__(
@@ -441,6 +447,22 @@ class FlatForest:
         self.leaf_offsets = leaf_offsets
         self.n_particles = int(roots.shape[0])
         self.n_leaves = len(caches)
+        # The forest's distinct subtrees (see :class:`SharedSubtrees`), built
+        # on the first route and dropped whenever a segment's structure is
+        # rewritten; leaf-cache patches leave it valid.
+        self._subtrees: Optional[SharedSubtrees] = None
+
+    def __getstate__(self):
+        # The subtree numbering is derived from the node arrays: keep it out of
+        # pickles (checkpoints) and rebuild it on the first route after load.
+        return None, {
+            name: getattr(self, name) for name in self.__slots__ if name != "_subtrees"
+        }
+
+    def __setstate__(self, state) -> None:
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self._subtrees = None
 
     @property
     def leaf_mean(self) -> np.ndarray:
@@ -489,23 +511,15 @@ class FlatForest:
     def route(self, X: np.ndarray) -> np.ndarray:
         """Global leaf ids, shape ``(n_particles, n_rows)``.
 
-        Every (particle, row) pair starts at that particle's root and
-        descends level-by-level; pairs that reach a leaf drop out of the
-        active set, so the loop count is the depth of the deepest particle.
+        Each distinct subtree of the forest routes every row once (see
+        :class:`SharedSubtrees`), and particle ``p``'s ids are its root
+        subtree's row of local leaf ids plus ``leaf_offsets[p]``.
         """
-        X = np.atleast_2d(X)
-        n = X.shape[0]
-        nodes = np.repeat(self.roots, n)
-        rows = np.tile(np.arange(n, dtype=np.intp), self.n_particles)
-        active = np.flatnonzero(self.split_dim[nodes] >= 0)
-        while active.size:
-            current = nodes[active]
-            dims = self.split_dim[current]
-            go_left = X[rows[active], dims] <= self.split_value[current]
-            nodes[active] = np.where(go_left, self.left[current], self.right[current])
-            still_internal = self.split_dim[nodes[active]] >= 0
-            active = active[still_internal]
-        return self.leaf_slot[nodes].reshape(self.n_particles, n)
+        subtrees = self._subtrees
+        if subtrees is None:
+            subtrees = self._subtrees = SharedSubtrees(self)
+        table = subtrees.leaf_table(np.atleast_2d(X))
+        return table[subtrees.root_ids] + self.leaf_offsets[:, None]
 
     def route_one(self, x: np.ndarray) -> np.ndarray:
         """Global leaf ids of ONE row routed through every tree, shape ``(n_particles,)``.
@@ -532,6 +546,123 @@ class FlatForest:
         """Per-particle predictive ``(mean, variance)``, each ``(n_particles, n_rows)``."""
         leaf_ids = self.route(X)
         return self.caches.mean[leaf_ids], self.caches.variance[leaf_ids]
+
+
+class SharedSubtrees:
+    """The distinct subtrees of a :class:`FlatForest`.
+
+    Routing is pure structure, and a particle forest is highly redundant:
+    resampling duplicates whole trees and later moves on the copies leave
+    most of their subtrees intact, so a grown paper-scale state holds a few
+    thousand distinct internal subtrees among tens of thousands of internal
+    nodes.  The forest's reachable internal nodes are hash-consed
+    bottom-up, one depth at a time, on the key ``(split dim, split value,
+    left id, right id)``.  Every leaf — padding nodes of an
+    :class:`IncrementalForest` included — has id 0, and ids
+    ``1..n_subtrees-1`` are issued deepest level first, so a subtree's
+    children always carry smaller ids than it does.  ``-0.0`` thresholds are
+    folded into ``0.0``: the two route every row alike.  Grouping by depth
+    rather than by height needs no height pass and keeps the sharing that
+    resampling creates — grow, prune and stay moves never change the depth
+    of an existing subtree, so copies of one subtree sit at one depth — at
+    the price of separate ids for equal subtrees that arose at different
+    depths (about 10 % more subtrees on a grown paper-scale state).
+
+    :meth:`leaf_table` then routes every row through each distinct subtree
+    exactly once, a level at a time.
+    """
+
+    __slots__ = (
+        "root_ids",
+        "split_dim",
+        "split_value",
+        "left",
+        "right",
+        "left_leaves",
+        "bounds",
+    )
+
+    def __init__(self, forest: FlatForest) -> None:
+        split_dim = forest.split_dim
+        left = forest.left
+        right = forest.right
+        # Reachable internal nodes, one array per depth.
+        internal = split_dim >= 0
+        levels = []
+        frontier = forest.roots[internal[forest.roots]]
+        while frontier.size:
+            levels.append(frontier)
+            children = np.concatenate((left[frontier], right[frontier]))
+            frontier = children[internal[children]]
+        levels.reverse()
+        nodes = np.concatenate(levels) if levels else np.empty(0, dtype=np.intp)
+
+        # One key column per node, deepest level first, behind a column of
+        # zeros that stands for the leaf (subtree 0).  Row 4 rides along
+        # unkeyed: the leaf count of the node's left subtree, which in a
+        # pre-order layout spans node indices ``left .. right - 1``.
+        keys = np.empty((5, nodes.shape[0] + 1), dtype=np.int64)
+        keys[:, 0] = 0
+        body = keys[:, 1:]
+        body[0] = split_dim[nodes]
+        body[1] = (forest.split_value[nodes] + 0.0).view(np.int64)
+        body[2] = left[nodes]
+        body[3] = right[nodes]
+        body[4] = (body[3] - body[2] + 1) // 2
+        node_ids = np.zeros(split_dim.shape[0], dtype=np.intp)
+        first = np.ones(keys.shape[1], dtype=bool)
+        bounds = [1]
+        start = 1
+        for level in levels:
+            stop = start + level.shape[0]
+            level_keys = keys[:, start:stop]
+            level_keys[2:4] = node_ids.take(level_keys[2:4])
+            order = np.lexsort(level_keys[:4])
+            level_keys[:] = level_keys.take(order, axis=1)
+            distinct = first[start:stop]
+            np.any(level_keys[:4, 1:] != level_keys[:4, :-1], axis=0, out=distinct[1:])
+            ids = distinct.cumsum()
+            ids += bounds[-1] - 1
+            node_ids[level.take(order)] = ids
+            bounds.append(int(ids[-1]) + 1)
+            start = stop
+        unique = keys[:, first]
+        self.root_ids = node_ids[forest.roots]
+        self.split_dim = unique[0]
+        self.split_value = unique[1].view(np.float64)
+        self.left = unique[2]
+        self.right = unique[3]
+        self.left_leaves = unique[4].astype(np.int32)
+        self.bounds = bounds
+
+    @property
+    def n_subtrees(self) -> int:
+        return int(self.split_dim.shape[0])
+
+    def leaf_table(self, X: np.ndarray) -> np.ndarray:
+        """``(n_subtrees, n_rows)`` int32 local pre-order leaf ids of every row.
+
+        Row ``u`` holds, for each row of ``X``, the leaf it reaches inside
+        subtree ``u`` (row 0, the leaf, is all zeros).  A subtree's row is
+        its left child's row where the row goes left and its right child's
+        row, shifted past the left child's leaves, where it goes right —
+        filled a level at a time with array ops over every subtree of that
+        level.
+        """
+        go_left = X.T[self.split_dim] <= self.split_value[:, None]
+        table = np.empty(go_left.shape, dtype=np.int32)
+        table[0] = 0
+        left = self.left
+        right = self.right
+        left_leaves = self.left_leaves[:, None]
+        bounds = self.bounds
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            table[start:stop] = np.where(
+                go_left[start:stop],
+                table.take(left[start:stop], axis=0),
+                table.take(right[start:stop], axis=0) + left_leaves[start:stop],
+            )
+        return table
 
 
 class IncrementalForest:
@@ -647,6 +778,9 @@ class IncrementalForest:
         exactly.
         """
         forest = self.forest
+        # The segments get new structure: the cached subtree numbering of
+        # :meth:`FlatForest.route` is stale.
+        forest._subtrees = None
         source = [trees[slot] for slot in slots]
         slots_arr = np.asarray(slots, dtype=np.intp)
         node_counts = np.asarray([tree.n_nodes for tree in source], dtype=np.intp)
