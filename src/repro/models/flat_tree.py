@@ -620,7 +620,9 @@ class SharedSubtrees:
             order = np.lexsort(level_keys[:4])
             level_keys[:] = level_keys.take(order, axis=1)
             distinct = first[start:stop]
-            np.any(level_keys[:4, 1:] != level_keys[:4, :-1], axis=0, out=distinct[1:])
+            np.logical_or.reduce(
+                level_keys[:4, 1:] != level_keys[:4, :-1], axis=0, out=distinct[1:]
+            )
             ids = distinct.cumsum()
             ids += bounds[-1] - 1
             node_ids[level.take(order)] = ids
