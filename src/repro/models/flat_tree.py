@@ -20,7 +20,7 @@ uses instead of fragile ``id(node)`` dictionary keys.
 
 :class:`FlatForest` concatenates every particle's compilation, and its
 :meth:`~FlatForest.route` numbers the forest's distinct subtrees once
-(:class:`SharedSubtrees`) so each row visits each distinct subtree once.
+(:class:`_SharedSubtrees`) so each row visits each distinct subtree once.
 
 A flat tree stays valid as long as the particle's *structure* is unchanged:
 a "stay" move only sharpens one leaf's sufficient statistics, which
@@ -40,7 +40,7 @@ import numpy as np
 from .compiled_kernels import route_all_numpy
 from .leaf import GaussianLeafModel, LeafCacheArrays
 
-__all__ = ["FlatTree", "FlatForest", "SharedSubtrees", "IncrementalForest"]
+__all__ = ["FlatTree", "FlatForest", "IncrementalForest"]
 
 
 class FlatTree:
@@ -404,7 +404,7 @@ class FlatForest:
     per-particle offsets — so one :meth:`route` call serves all
     ``n_particles × n_rows`` (particle, row) pairs together, routing each
     row through each *distinct* subtree of the forest once (see
-    :class:`SharedSubtrees`).
+    :class:`_SharedSubtrees`).
 
     Leaf ids returned by the forest are *global*: particle ``p``'s local
     leaf ``i`` becomes ``leaf_offsets[p] + i``.  ``n_leaves`` is the total,
@@ -447,10 +447,10 @@ class FlatForest:
         self.leaf_offsets = leaf_offsets
         self.n_particles = int(roots.shape[0])
         self.n_leaves = len(caches)
-        # The forest's distinct subtrees (see :class:`SharedSubtrees`), built
+        # The forest's distinct subtrees (see :class:`_SharedSubtrees`), built
         # on the first route and dropped whenever a segment's structure is
         # rewritten; leaf-cache patches leave it valid.
-        self._subtrees: Optional[SharedSubtrees] = None
+        self._subtrees: Optional[_SharedSubtrees] = None
 
     def __getstate__(self):
         # The subtree numbering is derived from the node arrays: keep it out of
@@ -512,12 +512,12 @@ class FlatForest:
         """Global leaf ids, shape ``(n_particles, n_rows)``.
 
         Each distinct subtree of the forest routes every row once (see
-        :class:`SharedSubtrees`), and particle ``p``'s ids are its root
+        :class:`_SharedSubtrees`), and particle ``p``'s ids are its root
         subtree's row of local leaf ids plus ``leaf_offsets[p]``.
         """
         subtrees = self._subtrees
         if subtrees is None:
-            subtrees = self._subtrees = SharedSubtrees(self)
+            subtrees = self._subtrees = _SharedSubtrees(self)
         table = subtrees.leaf_table(np.atleast_2d(X))
         return table[subtrees.root_ids] + self.leaf_offsets[:, None]
 
@@ -548,7 +548,7 @@ class FlatForest:
         return self.caches.mean[leaf_ids], self.caches.variance[leaf_ids]
 
 
-class SharedSubtrees:
+class _SharedSubtrees:
     """The distinct subtrees of a :class:`FlatForest`.
 
     Routing is pure structure, and a particle forest is highly redundant:
@@ -637,10 +637,6 @@ class SharedSubtrees:
         self.left_leaves = unique[4].astype(np.int32)
         self.bounds = bounds
 
-    @property
-    def n_subtrees(self) -> int:
-        return int(self.split_dim.shape[0])
-
     def leaf_table(self, X: np.ndarray) -> np.ndarray:
         """``(n_subtrees, n_rows)`` int32 local pre-order leaf ids of every row.
 
@@ -651,16 +647,20 @@ class SharedSubtrees:
         filled a level at a time with array ops over every subtree of that
         level.
         """
-        go_left = X.T[self.split_dim] <= self.split_value[:, None]
-        table = np.empty(go_left.shape, dtype=np.int32)
+        columns = X.T
+        split_dim = self.split_dim
+        thresholds = self.split_value[:, None]
+        table = np.empty((split_dim.shape[0], X.shape[0]), dtype=np.int32)
         table[0] = 0
         left = self.left
         right = self.right
         left_leaves = self.left_leaves[:, None]
         bounds = self.bounds
+        # The comparisons are made a level at a time, so no float
+        # ``(n_subtrees, n_rows)`` copy of the rows exists next to the table.
         for start, stop in zip(bounds[:-1], bounds[1:]):
             table[start:stop] = np.where(
-                go_left[start:stop],
+                columns[split_dim[start:stop]] <= thresholds[start:stop],
                 table.take(left[start:stop], axis=0),
                 table.take(right[start:stop], axis=0) + left_leaves[start:stop],
             )

@@ -1,7 +1,7 @@
 """Property tests for the shared-subtree forest router.
 
 ``FlatForest.route`` hash-conses the forest's distinct subtrees and routes
-every row through each of them once (``SharedSubtrees``).  Its leaf ids
+every row through each of them once (``_SharedSubtrees``).  Its leaf ids
 must equal the two oracles it replaced on the hot path: per-particle
 ``FlatTree.route`` plus the particle's ``leaf_offsets`` entry, and the
 per-node ``_Node.descend`` reference.  The forests under test come from
@@ -19,12 +19,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.models.dynamic_tree import DynamicTreeConfig, DynamicTreeRegressor
+from repro.models.dynamic_tree import (
+    _ROW_SUM_WIDTH,
+    DynamicTreeConfig,
+    DynamicTreeRegressor,
+)
 from repro.models.flat_tree import (
     FlatForest,
     FlatTree,
     IncrementalForest,
-    SharedSubtrees,
+    _SharedSubtrees,
 )
 from repro.models.leaf import LeafCacheArrays
 
@@ -79,6 +83,11 @@ def _assert_matches_oracles(forest, trees, X, roots=None):
             np.testing.assert_array_equal(local, expected)
 
 
+def _n_subtrees(forest):
+    """Distinct subtrees of ``forest``, the leaf (subtree 0) included."""
+    return _SharedSubtrees(forest).split_dim.shape[0]
+
+
 def _model_forest(model):
     forest = model._ensure_forest()
     trees = [model._flat_tree(i) for i in range(model.n_particles)]
@@ -117,7 +126,7 @@ class TestGrownForests:
         structures = {tree.split_dim.tobytes() + tree.split_value.tobytes() for tree in trees}
         assert len(structures) < len(trees)
         internal_nodes = sum(int((tree.split_dim >= 0).sum()) for tree in trees)
-        assert 1 < SharedSubtrees(forest).n_subtrees < internal_nodes + 1
+        assert 1 < _n_subtrees(forest) < internal_nodes + 1
         _assert_matches_oracles(forest, trees, X[:15], roots=model._particles)
 
     @settings(max_examples=10, deadline=None)
@@ -202,7 +211,7 @@ class TestHandBuiltForests:
         trees = [_stump(0.0, 0.0), _stump(-0.0, 10.0), _stump(0.0, 20.0)]
         X = np.array([[-1.0], [-5e-324], [-0.0], [0.0], [5e-324], [1.0]])
         for forest in _forests(trees):
-            assert SharedSubtrees(forest).n_subtrees == 2
+            assert _n_subtrees(forest) == 2
             _assert_matches_oracles(forest, trees, X)
             ids = forest.route(X) - forest.leaf_offsets[:, None]
             np.testing.assert_array_equal(ids[0], [0, 0, 0, 0, 1, 1])
@@ -211,7 +220,7 @@ class TestHandBuiltForests:
     def test_single_leaf_forest(self):
         trees = [_single_leaf(0.0), _single_leaf(5.0)]
         for forest in _forests(trees):
-            assert SharedSubtrees(forest).n_subtrees == 1
+            assert _n_subtrees(forest) == 1
             for X in (np.zeros((1, 2)), np.ones((4, 2))):
                 ids = forest.route(X)
                 np.testing.assert_array_equal(
@@ -230,7 +239,6 @@ class TestHandBuiltForests:
             ids = forest.route(np.array([0.5]))
             assert ids.shape == (2, 1)
             _assert_matches_oracles(forest, trees, np.array([[0.5]]))
-
 
     def test_pickles_leave_the_subtree_cache_out(self):
         trees = [_stump(0.5, 0.0), _stump(0.5, 2.0), _single_leaf(4.0)]
@@ -277,17 +285,17 @@ class TestAlcBitIdentity:
         assert np.array_equal(fast, slow)
 
     def test_wide_batches_sum_particles_row_by_row_exactly(self):
-        """From 128 columns on, the particle sums add one row at a time;
-        predictions and ALC scores stay bit-identical to the reference
-        loops on both sides of that width."""
+        """From ``_ROW_SUM_WIDTH`` columns on, the particle sums add one row
+        at a time; predictions and ALC scores stay bit-identical to the
+        reference loops on both sides of that width."""
         X, y = _training_data(11, 30)
         model = _model(12, 40, resample_threshold=0.5)
         model.fit(X, y)
         rng = np.random.default_rng(13)
         forest = model._ensure_forest()
-        candidates = _probes(forest, rng, 140)
+        candidates = _probes(forest, rng, _ROW_SUM_WIDTH + 12)
         reference = _probes(forest, rng, 6)
-        for batch in (candidates, candidates[:127]):
+        for batch in (candidates, candidates[: _ROW_SUM_WIDTH - 1]):
             assert np.array_equal(
                 model.expected_average_variance(batch, reference),
                 model.expected_average_variance_reference(batch, reference),
