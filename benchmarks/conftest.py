@@ -13,12 +13,16 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import pickle
 import tempfile
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.core.learner import LearnerConfig
 from repro.experiments.config import ExperimentScale
+from repro.models.dynamic_tree import DynamicTreeConfig, DynamicTreeRegressor
 
 #: Machine-readable benchmark results land here (pytest-benchmark's JSON
 #: export), so the perf trajectory of the model hot paths is tracked across
@@ -143,3 +147,45 @@ def scale_factory(request):
         return _bench_scale(benchmarks)
 
     return factory
+
+
+#: The paper's model sizes, shared by the grown-state benchmarks.
+PAPER_PARTICLES = 5000
+PAPER_TRAIN = 40
+PAPER_CANDIDATES = 500
+PAPER_REFERENCE = 100
+PAPER_DIMS = 6
+
+
+@pytest.fixture(scope="session")
+def paper_grown_state():
+    """A seeded paper-scale model state, fitted once per session.
+
+    5 000 particles grown over 40 observations (~4.5 leaves per particle,
+    set-up ~6 s), pickled so every benchmark round can start from a fresh
+    copy, plus an ALC candidate and reference batch and one held-out
+    observation drawn after the fit.
+    """
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-1.5, 1.5, size=(PAPER_TRAIN, PAPER_DIMS))
+    y = (
+        1.0
+        + 0.3 * X[:, 0]
+        + np.where(X[:, 1] > 0, 0.5, 0.0)
+        + rng.normal(0, 0.02, PAPER_TRAIN)
+    )
+    model = DynamicTreeRegressor(
+        DynamicTreeConfig(n_particles=PAPER_PARTICLES), rng=np.random.default_rng(1)
+    )
+    model.fit(X, y)
+    state = pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
+    del model
+    candidates = rng.uniform(-1.5, 1.5, size=(PAPER_CANDIDATES, PAPER_DIMS))
+    reference = candidates[
+        rng.choice(PAPER_CANDIDATES, size=PAPER_REFERENCE, replace=False)
+    ]
+    x = rng.uniform(-1.5, 1.5, size=PAPER_DIMS)
+    target = 1.0 + 0.3 * x[0] + (0.5 if x[1] > 0 else 0.0) + rng.normal(0, 0.02)
+    return SimpleNamespace(
+        state=state, candidates=candidates, reference=reference, x=x, y=float(target)
+    )

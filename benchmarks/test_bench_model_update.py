@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -54,8 +55,6 @@ def _as_reference(model: DynamicTreeRegressor) -> DynamicTreeRegressor:
     clone._prior = model._prior
     clone._lml = model._lml
     clone._particles = [root.copy() for root in model._particles]
-    clone._flat = [None] * len(model._particles)
-    clone._flat_shared = [False] * len(model._particles)
     return clone
 
 
@@ -163,22 +162,18 @@ def test_bench_particle_update_1000(benchmark, paper_scale_model, kernel):
 
 
 @pytest.mark.benchmark(group="forest-maintenance")
-@pytest.mark.parametrize("forest", ["incremental", "rebuild"])
+@pytest.mark.parametrize("forest", ["incremental"])
 def test_bench_forest_maintenance_1000(benchmark, paper_scale_model, forest):
     """First predict/ALC batch after an update at 1 000 particles.
 
-    This is the per-iteration cost the incremental forest amortises: the
-    untimed setup absorbs one observation, the timed body scores a
-    candidate batch — paying the forest repair (``incremental``) or the
-    full ``FlatForest.from_trees`` rebuild (``rebuild``) plus the routing
-    itself.  Their ratio in ``BENCH_model.json`` is the tracked win of the
-    incremental maintenance; equivalence is pinned separately by
+    The untimed setup absorbs one observation (which edits the particle
+    forest in place); the timed body scores a candidate batch — the
+    subtree numbering every structural edit invalidates, plus the routing
+    itself.  Segment equivalence with fresh compilations is pinned by
     ``tests/test_incremental_forest.py``.
     """
     fitted, X, y = paper_scale_model
     model = copy.deepcopy(fitted)
-    if forest == "rebuild":
-        model._config = dataclasses.replace(model.config, incremental_forest=False)
     rng = np.random.default_rng(5)
     candidates = rng.uniform(-1.5, 1.5, size=(20, X.shape[1]))
     reference = candidates[:10]
@@ -220,6 +215,33 @@ def test_bench_particle_update_5000(benchmark, bench_scale_is_laptop):
             model.update(X[i], float(y[i]))
 
     benchmark.pedantic(run_updates, rounds=3, iterations=1, warmup_rounds=1)
+
+
+@pytest.mark.benchmark(group="model-update")
+def test_bench_particle_update_paper_grown(benchmark, paper_grown_state):
+    """One SMC update at the paper's 5 000 particles from a grown state.
+
+    The seeded n = 40 state of ``test_bench_alc_paper_particles`` (shared
+    through the ``paper_grown_state`` fixture, so the fit runs once).
+    Every round updates a freshly unpickled copy with the same held-out
+    observation; the last round's per-phase split
+    (``DynamicTreeRegressor.phase_timings``) lands in ``extra_info``.
+    """
+    holder = {}
+
+    def fresh_state():
+        model = pickle.loads(paper_grown_state.state)
+        model.reset_phase_timings()
+        holder["model"] = model
+        return (model, paper_grown_state.x, paper_grown_state.y), {}
+
+    benchmark.pedantic(
+        DynamicTreeRegressor.update, setup=fresh_state, rounds=5, warmup_rounds=1
+    )
+    benchmark.extra_info["phase_timings_ms"] = {
+        phase: round(seconds * 1000.0, 3)
+        for phase, seconds in holder["model"].phase_timings.items()
+    }
 
 
 @pytest.mark.benchmark(group="model-update")

@@ -8,7 +8,8 @@ that kernel against the per-node reference implementation (the seed's
 pure-Python descent loops, kept as ``predict_reference`` /
 ``expected_average_variance_reference``) at "bench scale": 60 candidates ×
 40 reference points × 40 particles.  One case scores ALC at the paper's
-sizes instead: 5 000 particles, 500 candidates, 100 reference points.
+sizes instead: 5 000 particles, 500 candidates, 100 reference points, from
+the grown state of the ``paper_grown_state`` fixture (``conftest.py``).
 
 Results are exported to ``BENCH_model.json`` (see ``conftest.py``), so the
 vectorized-vs-reference ratio — the before/after speedup — is recorded
@@ -29,11 +30,6 @@ N_REFERENCE = 40
 N_PARTICLES = 40
 N_TRAIN = 150
 DIMS = 6
-
-PAPER_PARTICLES = 5000
-PAPER_TRAIN = 40
-PAPER_CANDIDATES = 500
-PAPER_REFERENCE = 100
 
 
 def _make_model(vectorized: bool):
@@ -116,35 +112,22 @@ def test_bench_batched_predict(benchmark, batch):
 
 
 @pytest.mark.benchmark(group="predict-alc")
-def test_bench_alc_paper_particles(benchmark):
+def test_bench_alc_paper_particles(benchmark, paper_grown_state):
     """One ALC scoring pass at the paper's particle and candidate counts.
 
     The state is seeded and grown deterministically (40 observations,
-    ~4.5 leaves per particle, set-up ~6 s).  Every round scores a freshly
-    unpickled copy of it, so the forest sync and the routing structure are
-    built inside the timed call, as they are after every real update.
+    ~4.5 leaves per particle; see the ``paper_grown_state`` fixture).
+    Every round scores a freshly unpickled copy of it, so the routing
+    structure, which pickles leave out, is built inside the timed call,
+    as it is after every update that changes a tree's structure.
     """
-    rng = np.random.default_rng(0)
-    X = rng.uniform(-1.5, 1.5, size=(PAPER_TRAIN, DIMS))
-    y = (
-        1.0
-        + 0.3 * X[:, 0]
-        + np.where(X[:, 1] > 0, 0.5, 0.0)
-        + rng.normal(0, 0.02, PAPER_TRAIN)
-    )
-    model = DynamicTreeRegressor(
-        DynamicTreeConfig(n_particles=PAPER_PARTICLES), rng=np.random.default_rng(1)
-    )
-    model.fit(X, y)
-    state = pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
-    del model
-    candidates = rng.uniform(-1.5, 1.5, size=(PAPER_CANDIDATES, DIMS))
-    reference = candidates[
-        rng.choice(PAPER_CANDIDATES, size=PAPER_REFERENCE, replace=False)
-    ]
 
     def fresh_state():
-        return (pickle.loads(state), candidates, reference), {}
+        return (
+            pickle.loads(paper_grown_state.state),
+            paper_grown_state.candidates,
+            paper_grown_state.reference,
+        ), {}
 
     scores = benchmark.pedantic(
         DynamicTreeRegressor.expected_average_variance,
@@ -152,4 +135,4 @@ def test_bench_alc_paper_particles(benchmark):
         rounds=5,
         warmup_rounds=1,
     )
-    assert scores.shape == (PAPER_CANDIDATES,)
+    assert scores.shape == (paper_grown_state.candidates.shape[0],)

@@ -27,35 +27,37 @@ Leaves use the constant (Gaussian) model of :mod:`repro.models.leaf`; the
 tree prior is the standard Chipman-George-McCulloch
 ``p_split(depth) = alpha * (1 + depth)^-beta``.
 
-Prediction and the ALC score are served from the concatenated
-:class:`~repro.models.flat_tree.FlatForest` of the per-particle
-:class:`~repro.models.flat_tree.FlatTree` compilations, which routes a
-whole batch of rows through each distinct subtree of the forest once —
-rather than per-row Python ``descend()`` loops.
+Every particle lives in two forms: its ``_Node`` tree (the leaves' models
+and training-row index lists) and its segment of one padded
+:class:`~repro.models.flat_tree.IncrementalForest` — the only flat
+representation, which every update edits in place.  Prediction and the
+ALC score route whole batches of rows through that forest, each distinct
+subtree once, rather than through per-row Python ``descend()`` loops.
 
 The sequential **update** path (Algorithm 1's per-observation model update)
 is batched across particles as well, which is what makes paper-scale
 particle counts (5 000) tractable:
 
 * **reweight** — the incoming ``x`` is routed through every particle's
-  flat compilation (a scalar descent over plain-list navigation mirrors —
-  cheaper than assembling the concatenated forest, which the update path
-  never needs), and the predictive log-pdfs come from cached per-leaf
-  log-pdf terms (one row read plus one scalar ``math.log1p`` per particle)
-  instead of ``n_particles`` per-node Python descents;
-* **resample** — the systematic resampler duplicates particles
-  *copy-on-write*: duplicates share the original tree and its flat
-  compilation, and nodes are cloned lazily, path-by-path, the first time a
-  subsequent move actually mutates them (``_Node.shared`` marks
-  possibly-shared nodes; cloning a node flags its children), so a resample
-  costs O(1) per duplicate instead of a deep tree copy;
+  segment of the forest in one level-synchronous descent, which also
+  records each particle's leaf node, parent node and depth for the
+  propagate step, and the predictive log-pdfs come from the cached
+  per-leaf log-pdf terms (one row gather plus one scalar ``math.log1p`` per
+  particle) instead of ``n_particles`` per-node Python descents;
+* **resample** — the systematic resampler gathers the forest's segments
+  into the new particle order and duplicates the ``_Node`` trees
+  *copy-on-write*: duplicates share the original tree, and nodes are
+  cloned lazily, path-by-path, the first time a subsequent move actually
+  mutates them (``_Node.shared`` marks possibly-shared nodes; cloning a
+  node flags its children), so a resample costs no deep tree copy;
 * **propagate** — the stay/grow/prune scores are computed from sufficient
-  statistics through a per-prior :class:`~repro.models.leaf.LMLCache`
-  (count-dependent ``lgamma``/``log`` terms memoized), the grow proposal
-  scores all candidate splits with one batched masked-cumsum scan, and the
-  stay moves — the overwhelming majority — are applied as a single batched
-  leaf-statistics patch over the affected flat arrays; only grow/prune
-  particles fall back to per-node Python mutation and recompilation.
+  statistics gathered out of the forest's cache rows and count-indexed
+  :class:`~repro.models.leaf.LeafTermTables`, the grow proposal scores all
+  candidate splits with one batched masked-cumsum scan, and the moves land
+  on the forest as batched array edits: one row scatter for the stays and
+  one pre-order splice each for the grows and the prunes, with every new
+  cache row computed by the same term-table arithmetic.  Only the
+  ``_Node`` mutation itself stays per particle.
 
 Every floating-point operation and every RNG draw in the batched path
 replays the per-particle reference implementation exactly (sequential
@@ -148,19 +150,11 @@ class DynamicTreeConfig:
     batched update kernel the paper's particle count is affordable too.
 
     ``vectorized`` selects the flat-array kernels for ``predict``,
-    ``expected_average_variance`` *and* the sequential ``update`` path;
-    disabling it falls back to the per-node, per-particle reference
-    implementations (slow — only useful for equivalence testing).  The two
+    ``expected_average_variance`` *and* the sequential ``update`` path,
+    all served by the model's in-place particle forest; disabling it falls
+    back to the per-node, per-particle reference implementations (slow —
+    only useful for equivalence testing), which keep no forest.  The two
     modes produce bit-identical seeded trajectories.
-
-    ``incremental_forest`` keeps the concatenated
-    :class:`~repro.models.flat_tree.FlatForest` alive across updates and
-    repairs only the particles that changed (see
-    :class:`~repro.models.flat_tree.IncrementalForest`) instead of
-    rebuilding it from every tree on the first predict/ALC batch after an
-    update.  Both settings produce bit-identical predictions and ALC
-    scores; disabling it restores the always-rebuild path (the oracle the
-    incremental maintenance is equivalence-tested against).
 
     ``backend`` selects the kernel set the batched update dispatches to
     (see :mod:`repro.models.compiled_kernels`): ``"numpy"`` (the default,
@@ -188,7 +182,6 @@ class DynamicTreeConfig:
     prior_kappa: float = 0.1
     prior_alpha: float = 3.0
     vectorized: bool = True
-    incremental_forest: bool = True
     backend: str = "numpy"
     float_mode: str = "exact"
 
@@ -324,29 +317,6 @@ class _Node:
         return self.left.leaves() + self.right.leaves()
 
 
-class _GrowProposal(NamedTuple):
-    """The winning candidate split of a batched grow-proposal scan.
-
-    Carries everything :meth:`DynamicTreeRegressor._apply_grow_batched`
-    needs to build the two children without re-scanning: the split itself,
-    both sides' sufficient statistics and marginal likelihoods (already
-    consumed by the grow score), and the boolean membership mask over the
-    leaf's observations with the incoming point in the last position.
-    """
-
-    dim: int
-    threshold: float
-    n_left: int
-    sum_left: float
-    sum_sq_left: float
-    left_lml: float
-    n_right: int
-    sum_right: float
-    sum_sq_right: float
-    right_lml: float
-    mask: np.ndarray
-
-
 class _UpdateRouting(NamedTuple):
     """Per-particle routing context of one update's reweight descent.
 
@@ -355,14 +325,12 @@ class _UpdateRouting(NamedTuple):
     :meth:`DynamicTreeRegressor._propagate_all`, whose gather phase reads
     each particle's leaf and prune-sibling statistics straight from the
     forest's packed cache columns instead of re-walking ``_Node``
-    objects.  After a resample the per-particle arrays are permuted to
-    the post-resample particle order; ``forest`` keeps the *pre-resample*
-    segment layout (the global ids index into it correctly either way).
+    objects.  Ids are local to the particle's segment (leaf id, node index
+    of the leaf and of its parent — negative for a root-leaf — and depth),
+    so a resample only permutes them along with the segments.
     """
 
-    forest: FlatForest
     local_ids: np.ndarray
-    gids: np.ndarray
     nodes: np.ndarray
     parents: np.ndarray
     depths: np.ndarray
@@ -389,27 +357,10 @@ class DynamicTreeRegressor(SurrogateModel):
         self._prior: Optional[NIGPrior] = None
         self._lml: Optional[LMLCache] = None
         self._particles: List[_Node] = []
-        # Lazily compiled FlatTree per particle; ``None`` marks "needs
-        # recompilation" (fresh particle, or structure changed by grow/prune).
-        # ``_flat_shared[i]`` marks a compilation shared copy-on-write with
-        # another particle after a resample: it must be copied before the
-        # next leaf patch lands on it.
-        self._flat: List[Optional[FlatTree]] = []
-        self._flat_shared: List[bool] = []
-        # Concatenation of every particle's FlatTree.  With
-        # ``incremental_forest`` the padded arrays persist across updates
-        # and ``_ensure_forest`` repairs only the changed particles
-        # (``_forest_stale`` records the in-place leaf patches it must
-        # mirror); otherwise the concatenation is rebuilt lazily after any
-        # update (the concatenated arrays snapshot the per-tree arrays, so
-        # in-place leaf patches do not carry over).
-        self._forest: Optional[FlatForest] = None
-        self._forest_cache: Optional[IncrementalForest] = None
-        # ``(slot, local leaf id) -> cache row values`` patched since the
-        # last sync (latest patch wins), plus a dirty bit so predict/ALC
-        # calls between updates skip the per-particle sync scan entirely.
-        self._forest_stale: Dict[Tuple[int, int], Tuple[float, ...]] = {}
-        self._forest_dirty = False
+        # The particles' flat forest, edited in place by every batched
+        # update; compiled from the trees when absent (before the first
+        # update, and after reference-path updates, which drop it).
+        self._particle_forest: Optional[IncrementalForest] = None
         # Per-depth tree-prior log terms (split probabilities only depend on
         # the frozen config, and every particle's scores reuse them).
         self._depth_cache: Dict[int, Tuple[float, float, float]] = {}
@@ -472,18 +423,16 @@ class DynamicTreeRegressor(SurrogateModel):
 
         Batch acquisition (kriging believer) needs a throwaway model to
         absorb believed observations.  A deep copy clones every particle
-        tree, compilation and forest — almost all of which the few fantasy
-        updates never touch.  Instead the copy *shares* the particle trees
-        and flat compilations copy-on-write: every node is flagged
-        ``shared`` (the same authoritative invariant a resample
-        establishes) and every compilation marked shared, so whichever
-        model mutates a path or patches a leaf row first clones just that
-        piece.  The training buffers are copied (updates append to them
-        in place), the RNG is deep-copied so fantasy draws do not consume
-        the real model's stream, and the memoized pure caches (LML,
-        count-term tables, depth terms) stay shared — both sides only
-        ever add deterministically recomputable entries.  The copy builds
-        its own incremental forest lazily on first use.
+        tree — almost all of which the few fantasy updates never touch.
+        Instead the copy *shares* the particle trees copy-on-write: every
+        node is flagged ``shared`` (the same authoritative invariant a
+        resample establishes), so whichever model mutates a path first
+        clones just that path.  The forest arrays and the training buffers
+        are copied (updates edit them in place), the RNG is deep-copied so
+        fantasy draws do not consume the real model's stream, and the
+        memoized pure caches (LML, count-term tables, depth terms) stay
+        shared — both sides only ever add deterministically recomputable
+        entries.
         """
         clone = type(self).__new__(type(self))
         clone._config = self._config
@@ -502,14 +451,8 @@ class DynamicTreeRegressor(SurrogateModel):
                     stack.append(node.left)
                     stack.append(node.right)
         clone._particles = list(self._particles)
-        clone._flat = list(self._flat)
-        count = len(self._flat)
-        self._flat_shared = [True] * count
-        clone._flat_shared = [True] * count
-        clone._forest = None
-        clone._forest_cache = None
-        clone._forest_stale = {}
-        clone._forest_dirty = True
+        forest = self._particle_forest
+        clone._particle_forest = None if forest is None else forest.copy()
         clone._depth_cache = self._depth_cache
         clone._term_tables = self._term_tables
         clone._depth_arrays = self._depth_arrays
@@ -518,6 +461,16 @@ class DynamicTreeRegressor(SurrogateModel):
         clone._draws = clone._generator_draws
         clone._phase_timings = dict.fromkeys(self._PHASES, 0.0)
         return clone
+
+    def __setstate__(self, state: dict) -> None:
+        if "_particle_forest" not in state:
+            # A layout that kept per-particle FlatTrees beside the forest:
+            # surface it as the error the checkpoint loaders treat as
+            # "stale: restart the unit".
+            raise AttributeError(
+                "incompatible checkpoint: DynamicTreeRegressor state has no particle forest"
+            )
+        self.__dict__.update(state)
 
     # ------------------------------------------------------- data management
 
@@ -555,18 +508,11 @@ class DynamicTreeRegressor(SurrogateModel):
         self._lml = LMLCache(self._prior)
         self._depth_cache = {}
         self._particles = []
-        self._flat = []
-        self._flat_shared = []
-        self._forest = None
-        self._forest_cache = None
-        self._forest_stale.clear()
-        self._forest_dirty = True
+        self._particle_forest = None
         for _ in range(self._config.n_particles):
             root = _Node(depth=0)
             root.leaf = GaussianLeafModel(self._prior)
             self._particles.append(root)
-            self._flat.append(None)
-            self._flat_shared.append(False)
         order = self._rng.permutation(X.shape[0])
         for index in order:
             self.update(X[index], float(y[index]))
@@ -611,48 +557,21 @@ class DynamicTreeRegressor(SurrogateModel):
         replaying = self._replay.begin(expected_raws)
         self._draws = self._replay if replaying else self._generator_draws
         try:
-            routing: Optional[_UpdateRouting] = None
             if self._n >= 1:
                 routing = self._resample(x, y)
+            else:
+                # First update after ``fit``: every particle is a single
+                # root-leaf and nothing is reweighted.
+                self._ensure_forest()
+                count = len(self._particles)
+                zeros = np.zeros(count, dtype=np.intp)
+                routing = _UpdateRouting(zeros, zeros, zeros - 1, zeros)
             index = self._append_observation(x, y)
-            self._forest = None
-            self._forest_dirty = True
             self._propagate_all(x, y, index, routing)
         finally:
             if replaying:
                 self._replay.end()
             self._draws = self._generator_draws
-
-    def _patch_stays(
-        self,
-        slots: np.ndarray,
-        leaf_ids: np.ndarray,
-        rows: np.ndarray,
-        forest: FlatForest,
-    ) -> None:
-        """Apply every stay move's leaf-statistics patch in one pass.
-
-        ``rows`` holds the already-computed cache rows, one per slot in
-        ``slots`` — produced by the batched term-table arithmetic, bit-
-        identical to what :meth:`~repro.models.leaf.LeafCacheArrays.patch`
-        would recompute from each leaf's memoized scalar posterior.  The
-        per-particle compilations are already privately owned (the apply
-        loop copies any still-shared one before recording its stay), so
-        each patch is a single row assignment.  The same rows are then
-        scattered straight into the live incremental forest's segments:
-        a row whose particle was permuted by the resample (or whose
-        compilation object changed) lands in a segment the next sync
-        rewrites wholesale anyway, and rows in identity-kept segments
-        make them current — so no per-row stale bookkeeping is needed
-        (the ``_forest_stale`` dict remains only for the reference path).
-        """
-        flats = self._flat
-        lids = leaf_ids.tolist()
-        for j, slot in enumerate(slots.tolist()):
-            flats[slot].caches.data[lids[j]] = rows[j]
-        cache = self._forest_cache
-        if cache is not None and forest is cache.forest:
-            forest.caches.data[forest.leaf_offsets[slots] + leaf_ids] = rows
 
     def _update_reference(self, x: np.ndarray, y: float) -> None:
         """Per-particle reference implementation of one SMC update.
@@ -663,62 +582,19 @@ class DynamicTreeRegressor(SurrogateModel):
         if self._n >= 1:
             self._resample_reference(x, y)
         index = self._append_observation(x, y)
-        self._forest = None
-        self._forest_dirty = True
+        self._particle_forest = None
         for particle_index, root in enumerate(self._particles):
-            new_root, structural, leaf = self._propagate(root, x, y, index)
-            self._particles[particle_index] = new_root
-            flat = self._flat[particle_index]
-            if structural:
-                self._flat[particle_index] = None
-            elif flat is not None:
-                # Stay move: the structure is intact, only the statistics of
-                # the leaf containing ``x`` changed — patch them in place.
-                assert leaf.leaf is not None
-                leaf_id = flat.route_one(x)
-                row = flat.patch_leaf(leaf_id, leaf.leaf)
-                if self._forest_cache is not None:
-                    self._forest_stale[(particle_index, leaf_id)] = row
+            self._particles[particle_index] = self._propagate(root, x, y, index)
 
     # ----------------------------------------------------------- prediction
 
-    def _flat_tree(self, particle_index: int) -> FlatTree:
-        """The (lazily compiled) flat representation of one particle."""
-        flat = self._flat[particle_index]
-        if flat is None:
-            flat = FlatTree.compile(self._particles[particle_index])
-            self._flat[particle_index] = flat
-        return flat
-
     def _ensure_forest(self) -> FlatForest:
-        """The concatenated forest, repaired or rebuilt as needed.
-
-        With ``incremental_forest`` the padded forest persists across
-        updates: particles whose :class:`FlatTree` object is unchanged keep
-        their segments (stay-move leaf patches are mirrored row-by-row from
-        ``_forest_stale``), recompiled/resampled particles get their
-        segments rewritten in place, and only a capacity overflow or a
-        particle-count change triggers a full rebuild.  Without the flag
-        every call after an update rebuilds via ``FlatForest.from_trees``
-        — the equivalence oracle for the incremental path.
-        """
-        if self._config.incremental_forest:
-            cache = self._forest_cache
-            if cache is not None and not self._forest_dirty:
-                return cache.forest
-            flats = [self._flat_tree(i) for i in range(len(self._particles))]
-            if cache is None or not cache.sync(flats, self._forest_stale):
-                cache = IncrementalForest(flats)
-                self._forest_cache = cache
-            self._forest_stale.clear()
-            self._forest_dirty = False
-            return cache.forest
-        self._forest_stale.clear()
-        if self._forest is None:
-            self._forest = FlatForest.from_trees(
-                [self._flat_tree(i) for i in range(len(self._particles))]
+        """The particles' flat forest, compiled from the trees when absent."""
+        if self._particle_forest is None:
+            self._particle_forest = IncrementalForest(
+                [FlatTree.compile(root) for root in self._particles]
             )
-        return self._forest
+        return self._particle_forest.forest
 
     def predict(self, features: np.ndarray) -> Prediction:
         if not self._particles or not self._n:
@@ -904,25 +780,21 @@ class DynamicTreeRegressor(SurrogateModel):
     def _resample(self, x: np.ndarray, y: float) -> _UpdateRouting:
         """Batched reweight-and-resample; returns the update's routing context.
 
-        The reweight is three kernel calls over the concatenated segment
-        arrays: one all-particles ``route_update`` descent — recording
-        each particle's leaf node, parent node and descent depth alongside
-        the leaf id, the structural context the propagate gather phase
-        reads instead of re-walking ``_Node`` objects — one fused
+        The reweight is three kernel calls over the forest's padded
+        segment arrays: one all-particles ``route_update`` descent —
+        recording each particle's leaf node, parent node and descent depth
+        alongside the leaf id, the structural context the propagate gather
+        phase reads instead of re-walking ``_Node`` objects — one fused
         gather-and-log-pdf pass over the leaf cache rows, and the offset
-        subtraction that localises the global ids.  With the incremental
-        forest (the default) the forest is synced here, at the *top* of
-        the update, which also keeps it incrementally repaired across
-        back-to-back updates instead of being recompiled per predict;
-        without it the same calls run over a fresh ``from_trees``
-        snapshot.  Either way the arithmetic is the cached-log-pdf-terms
-        evaluation with the backend's ``log1p`` flavour (scalar-rounded
-        in exact mode — numpy's rounds differently and the resample
-        decision is sampled from these weights).  When the effective
-        sample size calls for a resample, duplicated particles *share*
-        the original tree and flat compilation copy-on-write instead of
-        deep-copying them, and the routing arrays are permuted to the
-        post-resample particle order.
+        subtractions that localise the ids.  The arithmetic is the
+        cached-log-pdf-terms evaluation with the backend's ``log1p``
+        flavour (scalar-rounded in exact mode — numpy's rounds differently
+        and the resample decision is sampled from these weights).  When
+        the effective sample size calls for a resample, the forest's
+        segments are gathered into the new particle order, duplicated
+        particles *share* the original ``_Node`` tree copy-on-write
+        instead of deep-copying it, and the routing arrays are permuted
+        along.
         """
         timings = self._phase_timings
         tic = perf_counter()
@@ -931,6 +803,7 @@ class DynamicTreeRegressor(SurrogateModel):
         config = self._config
         kernels = get_kernels(config.backend, config.float_mode == "fast")
         forest = self._ensure_forest()
+        roots = forest.roots
         gids, nodes, parents, depths = kernels.route_update(
             forest.split_dim,
             forest.split_value,
@@ -941,8 +814,10 @@ class DynamicTreeRegressor(SurrogateModel):
             x,
         )
         log_weights = kernels.reweight_log_weights(forest.caches.data, gids, y)
-        local_ids = gids - forest.leaf_offsets
-        routing = _UpdateRouting(forest, local_ids, gids, nodes, parents, depths)
+        # A root-leaf's parent -1 localises to a negative index.
+        routing = _UpdateRouting(
+            gids - forest.leaf_offsets, nodes - roots, parents - roots, depths
+        )
         toc = perf_counter()
         timings["reweight"] += toc - tic
         tic = toc
@@ -962,14 +837,14 @@ class DynamicTreeRegressor(SurrogateModel):
         occurrences = np.bincount(chosen, minlength=count)
         duplicated = occurrences > 1
         for j in np.flatnonzero(duplicated).tolist():
-            # Copy-on-write: every occurrence shares the tree and its
-            # compilation; the first move that mutates either clones just
-            # what it touches.  The *whole* tree is flagged, not just the
-            # root, so ``shared`` stays authoritative — a False flag
-            # guarantees single ownership, which is what lets the apply
-            # phase mutate leaves straight out of the compilation's leaf
-            # map without re-walking the tree (``clone_shallow`` upholds
-            # the invariant when it hands its children a second owner).
+            # Copy-on-write: every occurrence shares the tree; the first
+            # move that mutates it clones just the path it touches.  The
+            # *whole* tree is flagged, not just the root, so ``shared``
+            # stays authoritative — a False flag guarantees single
+            # ownership, which is what lets the apply phase mutate leaves
+            # straight out of the forest's leaf-node column without
+            # re-walking the tree (``clone_shallow`` upholds the invariant
+            # when it hands its children a second owner).
             stack = [particles[j]]
             while stack:
                 node = stack.pop()
@@ -977,19 +852,9 @@ class DynamicTreeRegressor(SurrogateModel):
                 if node.left is not None:
                     stack.append(node.left)
                     stack.append(node.right)
-        flats = self._flat
-        shared = np.fromiter(self._flat_shared, dtype=bool, count=count)
         self._particles = [particles[j] for j in chosen_indices]
-        self._flat = [flats[j] for j in chosen_indices]
-        self._flat_shared = (shared[chosen] | duplicated[chosen]).tolist()
-        routing = _UpdateRouting(
-            forest,
-            local_ids[chosen],
-            gids[chosen],
-            nodes[chosen],
-            parents[chosen],
-            depths[chosen],
-        )
+        self._particle_forest.gather(chosen)
+        routing = _UpdateRouting(*(column[chosen] for column in routing))
         timings["resample"] += perf_counter() - tic
         return routing
 
@@ -1009,28 +874,16 @@ class DynamicTreeRegressor(SurrogateModel):
             return
         chosen_indices = self._systematic_indices(weights, self._rng.random())
         # Deduplicate by particle *index*: the first occurrence keeps the
-        # original tree (and its flat compilation), later occurrences get
-        # independent copies.
+        # original tree, later occurrences get independent copies.
         new_particles: List[_Node] = []
-        new_flat: List[Optional[FlatTree]] = []
         used_original: set[int] = set()
         for j in chosen_indices:
-            flat = self._flat[j]
             if j not in used_original:
                 new_particles.append(self._particles[j])
-                new_flat.append(flat)
                 used_original.add(j)
             else:
                 new_particles.append(self._particles[j].copy())
-                copied = flat.copy() if flat is not None else None
-                if copied is not None:
-                    # The eager tree copy made fresh ``_Node`` objects the
-                    # compilation's leaf map knows nothing about.
-                    copied.leaf_nodes = None
-                new_flat.append(copied)
         self._particles = new_particles
-        self._flat = new_flat
-        self._flat_shared = [False] * len(new_particles)
 
     # ----------------------------------------------------- batched propagate
 
@@ -1117,7 +970,7 @@ class DynamicTreeRegressor(SurrogateModel):
         x: np.ndarray,
         y: float,
         index: int,
-        routing: Optional[_UpdateRouting],
+        routing: _UpdateRouting,
     ) -> None:
         """Propagate every particle through one stay/grow/prune move.
 
@@ -1130,8 +983,9 @@ class DynamicTreeRegressor(SurrogateModel):
            gathers over the forest's packed cache columns, the prune
            siblings and tree-prior depth terms follow from the recorded
            parent nodes, and the only remaining per-particle loop collects
-           each leaf's training-row indices through the compilations'
-           ``leaf_nodes`` maps.  The grow proposals' RNG draws run in
+           each leaf's training-row indices from the ``_Node`` leaves that
+           one gather out of the forest's leaf-node column returns.  The
+           grow proposals' RNG draws run in
            exactly the reference order (the replayed stream makes the draw
            *values* independent of when they are interpreted); the
            stay/prune scores are then one vectorized pass over
@@ -1150,12 +1004,11 @@ class DynamicTreeRegressor(SurrogateModel):
            features (never selected by a mask) and ``0.0`` targets (exact
            no-ops in the sequential sums), so the batch reproduces each
            particle's reference arithmetic bit-for-bit.
-        3. **apply** — moves mutate the trees through one copy-on-write
-           descent per particle (a pure pointer walk on private paths);
-           grow/prune moves splice the particle's flat compilation in
-           place (:meth:`FlatTree.grow_at` / :meth:`FlatTree.prune_at`)
-           instead of invalidating it, and the stay moves land on the flat
-           compilations as one batched leaf-statistics patch.
+        3. **apply** — moves mutate the ``_Node`` trees (a copy-on-write
+           descent only where a path may be shared), then land on the
+           forest as three batched edits: one row scatter for the stays
+           and one pre-order splice each for the grows and the prunes
+           (see :class:`~repro.models.flat_tree.IncrementalForest`).
         """
         assert self._prior is not None and self._lml is not None
         assert self._X is not None and self._y is not None
@@ -1169,62 +1022,46 @@ class DynamicTreeRegressor(SurrogateModel):
         fast = config.float_mode == "fast"
         dims = x.shape[0]
         neg_inf = -math.inf
-        flats = self._flat
+        particle_forest = self._particle_forest
+        forest = particle_forest.forest
+        roots = forest.roots
 
         # --------------------- phase 1a: routed state gathers
         # Leaf sufficient statistics, descent depths, prune siblings and
         # the memoized sibling marginal likelihoods all come from the
         # reweight routing as fused gathers over the forest's packed
-        # cache columns (the forest was synced at the top of the update,
-        # so every row is pre-update truth).  The per-particle loop that
-        # remains only collects each leaf's training-row index list.
+        # cache columns (every row is pre-update truth).  The per-particle
+        # loop that remains only collects each leaf's training-row indices.
+        data = forest.caches.data
+        gids = forest.leaf_offsets + routing.local_ids
+        leaf_rows = data[gids]
+        leaf_ns = leaf_rows[:, LeafCacheArrays.COUNT].astype(np.intp)
+        leaf_totals = leaf_rows[:, LeafCacheArrays.SUM]
+        leaf_sqs = leaf_rows[:, LeafCacheArrays.SUM_SQ]
+        depths_arr = routing.depths
+        # The prune sibling is the parent's *other* child; a particle is
+        # prunable when it has a parent and that sibling is a leaf.  A
+        # root-leaf's negative local parent reads an in-bounds garbage
+        # node that the ``parents >= 0`` guard masks.
+        parents_arr = roots + routing.parents
+        left_of_parent = forest.left[parents_arr]
+        sib_nodes = np.where(
+            left_of_parent == roots + routing.nodes,
+            forest.right[parents_arr],
+            left_of_parent,
+        )
+        prunable = (routing.parents >= 0) & (forest.split_dim[sib_nodes] == -1)
+        pr = np.flatnonzero(prunable)
+        sib_rows = data[forest.leaf_slot[sib_nodes[pr]]]
+        sib_ns_pr = sib_rows[:, LeafCacheArrays.COUNT].astype(np.intp)
+        sib_totals_pr = sib_rows[:, LeafCacheArrays.SUM]
+        sib_sqs_pr = sib_rows[:, LeafCacheArrays.SUM_SQ]
+        sib_lmls_pr = sib_rows[:, LeafCacheArrays.LML]
+        leaf_list = particle_forest.leaf_nodes[gids].tolist()
         all_rows: List[int] = []
         extend_rows = all_rows.extend
-        if routing is None:
-            # First update (``fit`` reset the model): every particle is a
-            # single-leaf root holding no observations, so the structural
-            # context is trivial and there are no indices to gather.
-            leaf_ns = np.zeros(count, dtype=np.intp)
-            leaf_totals = np.zeros(count)
-            leaf_sqs = np.zeros(count)
-            depths_arr = np.zeros(count, dtype=np.intp)
-            prunable = np.zeros(count, dtype=bool)
-            pr = np.flatnonzero(prunable)
-            sib_ns_pr = np.empty(0, dtype=np.intp)
-            sib_totals_pr = np.empty(0)
-            sib_sqs_pr = np.empty(0)
-            sib_lmls_pr = np.empty(0)
-            ids_list: Optional[List[int]] = None
-        else:
-            forest = routing.forest
-            data = forest.caches.data
-            leaf_rows = data[routing.gids]
-            leaf_ns = leaf_rows[:, LeafCacheArrays.COUNT].astype(np.intp)
-            leaf_totals = leaf_rows[:, LeafCacheArrays.SUM]
-            leaf_sqs = leaf_rows[:, LeafCacheArrays.SUM_SQ]
-            depths_arr = routing.depths
-            parents_arr = routing.parents
-            # The prune sibling is the parent's *other* child; a particle
-            # is prunable when it has a parent and that sibling is a leaf.
-            # Root-leaves carry parent ``-1`` — the in-bounds negative
-            # index reads garbage that the ``parents >= 0`` guard masks.
-            left_of_parent = forest.left[parents_arr]
-            sib_nodes = np.where(
-                left_of_parent == routing.nodes,
-                forest.right[parents_arr],
-                left_of_parent,
-            )
-            prunable = (parents_arr >= 0) & (forest.split_dim[sib_nodes] == -1)
-            pr = np.flatnonzero(prunable)
-            sib_rows = data[forest.leaf_slot[sib_nodes[pr]]]
-            sib_ns_pr = sib_rows[:, LeafCacheArrays.COUNT].astype(np.intp)
-            sib_totals_pr = sib_rows[:, LeafCacheArrays.SUM]
-            sib_sqs_pr = sib_rows[:, LeafCacheArrays.SUM_SQ]
-            sib_lmls_pr = sib_rows[:, LeafCacheArrays.LML]
-            ids_list = routing.local_ids.tolist()
-            for i in range(count):
-                nodes_map = flats[i].leaf_nodes
-                extend_rows(nodes_map[ids_list[i]].indices)
+        for leaf in leaf_list:
+            extend_rows(leaf.indices)
         sizes_list = leaf_ns.tolist()
 
         # ------------------------- phase 1b: batched grow-proposal tables
@@ -1558,23 +1395,20 @@ class DynamicTreeRegressor(SurrogateModel):
         tic = toc
 
         # ---------------------------------------------- phase 3: apply
-        # Stay and grow moves mutate the leaf named by the compilation's
-        # leaf map directly whenever its ``shared`` flag is clear (the
-        # flag is authoritative: resample flags whole duplicated trees),
-        # so in the common steady state no tree is walked at all.  Shared
-        # leaves and every prune go through ``_descend_cow`` — a pure
-        # pointer walk on privately owned paths, shared-node cloning
-        # otherwise.  Grow/prune moves additionally *derive* the
-        # particle's updated flat compilation from the old one (one
-        # splice per structural move) instead of invalidating it, so
-        # steady-state updates never re-enter FlatTree.compile.
+        # Stay and grow moves mutate the leaf the forest's leaf-node column
+        # names directly whenever its ``shared`` flag is clear (the flag is
+        # authoritative: resample flags whole duplicated trees), so in the
+        # common steady state no tree is walked at all.  Shared leaves and
+        # every prune go through ``_descend_cow`` — a pure pointer walk on
+        # privately owned paths, shared-node cloning otherwise.
         stay_slots: List[int] = []
-        flat_shared = self._flat_shared
+        stay_leaves: List[_Node] = []
+        grow_slots: List[int] = []
+        grow_leaves: List[_Node] = []
+        prune_slots: List[int] = []
+        prune_parents: List[_Node] = []
         best_slot_list = best_slot.tolist()
-        best_left_list = best_left.tolist()
-        best_right_list = best_right.tolist()
         prunable_list = prunable.tolist()
-        has_ids = ids_list is not None
         descend_cow = self._descend_cow
         for i in range(count):
             move = moves[i]
@@ -1583,161 +1417,202 @@ class DynamicTreeRegressor(SurrogateModel):
                 # so it always takes the full copy-on-write walk.
                 leaf, parent, root = descend_cow(particles[i], x)
                 particles[i] = root
-                is_left = parent.left is leaf
-                sibling = parent.right if is_left else parent.left
+                sibling = parent.right if parent.left is leaf else parent.left
                 assert sibling is not None
-                old_flat = flats[i]
                 self._apply_prune(root, parent, leaf, sibling, x, y, index)
-                if old_flat is not None and has_ids:
-                    lid = ids_list[i]
-                    flats[i] = old_flat.prune_at(lid if is_left else lid - 1, parent)
-                else:
-                    flats[i] = None
-                flat_shared[i] = False
+                prune_slots.append(i)
+                prune_parents.append(parent)
                 continue
-            # Stay and grow only mutate the leaf itself.  The compilation's
-            # leaf map already names it, and an unshared flag is
-            # authoritative (resample flags whole duplicated trees), so a
-            # private leaf can be mutated in place with no tree walk at
-            # all; a shared flag falls back to the path-cloning descent.
-            flat = flats[i] if has_ids else None
-            if flat is not None:
-                leaf = flat.leaf_nodes[ids_list[i]]
-                if leaf.shared:
-                    leaf, _, root = descend_cow(particles[i], x)
-                    particles[i] = root
-            else:
+            leaf = leaf_list[i]
+            if leaf.shared:
                 leaf, _, root = descend_cow(particles[i], x)
                 particles[i] = root
-            c = best_slot_list[i]
-            if move == 1 and c >= 0:
-                n_points = sizes_list[i] + 1
-                count_left = int(n_left_matrix[i, c])
-                right_slot = n_candidates + c
-                old_flat = flats[i]
-                self._apply_grow_batched(
-                    leaf,
-                    _GrowProposal(
-                        dim=int(dim_matrix[i, c]),
-                        threshold=float(thresholds[i, c]),
-                        n_left=count_left,
-                        sum_left=float(sums[i, 0, c]),
-                        sum_sq_left=float(sums[i, 1, c]),
-                        left_lml=best_left_list[i],
-                        n_right=n_points - count_left,
-                        sum_right=float(sums[i, 0, right_slot]),
-                        sum_sq_right=float(sums[i, 1, right_slot]),
-                        right_lml=best_right_list[i],
-                        mask=masks[i, :n_points, c],
-                    ),
-                    index,
-                )
-                if old_flat is not None and has_ids:
-                    flats[i] = old_flat.grow_at(ids_list[i], leaf)
-                else:
-                    flats[i] = None
-                flat_shared[i] = False
+            if move == 1 and best_slot_list[i] >= 0:
+                grow_slots.append(i)
+                grow_leaves.append(leaf)
             else:
                 assert leaf.leaf is not None
                 leaf.leaf.add(y)
                 leaf.indices.append(index)
-                flat = flats[i]
-                if flat is not None:
-                    if flat_shared[i]:
-                        # Copy-on-write: the compilation is still shared
-                        # with a resample sibling; copy it before the
-                        # batched patch lands.
-                        flat = flat.copy()
-                        flats[i] = flat
-                        flat_shared[i] = False
-                    # The COW walk may have replaced the leaf object; keep
-                    # the compilation's leaf map pointing at the live node.
-                    flat.leaf_nodes[ids_list[i]] = leaf
-                    stay_slots.append(i)
+                stay_slots.append(i)
+                stay_leaves.append(leaf)
+        # Every new cache row comes from the same term-table gathers and
+        # elementwise arithmetic (same grouping, scalar-rounded logs) as
+        # GaussianLeafModel.predictive_logpdf_terms, bit-identical to a
+        # compilation of the mutated leaf.
         if stay_slots:
-            # Batched leaf-cache rows for every stay move: the posterior
-            # row entries are the same table gathers + elementwise
-            # arithmetic (same grouping, scalar-rounded logs) as
-            # GaussianLeafModel.predictive_logpdf_terms — including the
-            # sufficient-statistics and marginal-likelihood columns the
-            # next update's gather phase reads back.
-            assert routing is not None
             stays = np.asarray(stay_slots, dtype=np.intp)
-            counts_s = counts_stay[stays]
-            kappa_s = kappa_stay[stays]
-            alpha_s = alpha_stay[stays]
-            beta_s = beta_stay[stays]
-            pk_pm = prior_kappa * prior_mean
-            mean_s = (pk_pm + totals_stay[stays]) / kappa_s
-            scale_s = (beta_s * (kappa_s + 1.0)) / (alpha_s * kappa_s)
-            dof_s = tables.dof[counts_s]
-            rows = np.empty((stays.size, LeafCacheArrays.N_COLUMNS))
-            rows[:, LeafCacheArrays.MEAN] = mean_s
-            rows[:, LeafCacheArrays.VARIANCE] = (scale_s * dof_s) / (dof_s - 2.0)
-            rows[:, LeafCacheArrays.COUNT] = counts_s
-            rows[:, LeafCacheArrays.LOGPDF_SCALE] = dof_s * scale_s
-            rows[:, LeafCacheArrays.LOGPDF_COEF] = tables.coef[counts_s]
-            rows[:, LeafCacheArrays.LOGPDF_CONST] = tables.lgamma_part[
-                counts_s
-            ] - 0.5 * kernels.log_array(tables.dof_pi[counts_s] * scale_s)
-            rows[:, LeafCacheArrays.SUM] = totals_stay[stays]
-            rows[:, LeafCacheArrays.SUM_SQ] = sqs_stay[stays]
-            rows[:, LeafCacheArrays.LML] = stay_lml[stays]
-            self._patch_stays(
-                stays, routing.local_ids[stays], rows, routing.forest
+            particle_forest.patch(
+                stays,
+                routing.local_ids[stays],
+                self._leaf_rows(
+                    kernels,
+                    counts_stay[stays],
+                    totals_stay[stays],
+                    sqs_stay[stays],
+                    stay_lml[stays],
+                ),
+                stay_leaves,
+            )
+        if prune_slots:
+            # The merged leaf is ``leaf.merge(sibling)`` plus the new point,
+            # summed in that order (the prune *score* adds the point first).
+            prunes = np.asarray(prune_slots, dtype=np.intp)
+            sib = np.searchsorted(pr, prunes)
+            particle_forest.prune(
+                prunes,
+                routing.parents[prunes],
+                self._leaf_rows(
+                    kernels,
+                    leaf_ns[prunes] + sib_ns_pr[sib] + 1,
+                    (leaf_totals[prunes] + sib_totals_pr[sib]) + y,
+                    (leaf_sqs[prunes] + sib_sqs_pr[sib]) + y * y,
+                ),
+                prune_parents,
+            )
+        if grow_slots:
+            grows = np.asarray(grow_slots, dtype=np.intp)
+            slot = best_slot[grows]
+            right_slot = slot + n_candidates
+            n_left = n_left_matrix[grows, slot]
+            n_right = n_points_arr[grows] - n_left
+            counts_lr = np.concatenate((n_left, n_right))
+            totals_lr = np.concatenate((sums[grows, 0, slot], sums[grows, 0, right_slot]))
+            sqs_lr = np.concatenate((sums[grows, 1, slot], sums[grows, 1, right_slot]))
+            dims_g = dim_matrix[grows, slot]
+            thresholds_g = thresholds[grows, slot]
+            children = self._apply_grows(
+                grow_leaves,
+                dims_g.tolist(),
+                thresholds_g.tolist(),
+                counts_lr.tolist(),
+                totals_lr.tolist(),
+                sqs_lr.tolist(),
+                masks[grows, :, slot].tolist(),
+                index,
+            )
+            particle_forest.grow(
+                grows,
+                routing.nodes[grows],
+                routing.local_ids[grows],
+                dims_g,
+                thresholds_g,
+                self._leaf_rows(
+                    kernels,
+                    counts_lr,
+                    totals_lr,
+                    sqs_lr,
+                    np.concatenate((best_left[grows], best_right[grows])),
+                ),
+                children,
             )
         timings["propagate-apply"] += perf_counter() - tic
 
-    def _apply_grow_batched(
-        self, leaf: _Node, proposal: _GrowProposal, index: int
-    ) -> None:
-        """Split ``leaf`` according to a batched grow proposal.
+    def _leaf_rows(
+        self,
+        kernels,
+        counts: np.ndarray,
+        totals: np.ndarray,
+        sqs: np.ndarray,
+        lml: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Leaf-cache rows of leaves with the given sufficient statistics.
+
+        Term-table gathers and elementwise arithmetic grouped exactly like
+        :meth:`~repro.models.leaf.LeafCacheArrays.patch`'s scalar sources
+        (``lml`` is evaluated the same way when not passed in).
+        """
+        prior = self._prior
+        tables = self._leaf_term_tables()
+        kappa = tables.kappa_n[counts]
+        alpha = tables.alpha_n[counts]
+        beta = nig_beta_n(
+            counts, totals, sqs, kappa, prior.beta, prior.kappa, prior.mean
+        )
+        if lml is None:
+            lml = (
+                (tables.head[counts] - alpha * kernels.log_array(beta))
+                + tables.mid[counts]
+            ) - tables.tail[counts]
+        scale = (beta * (kappa + 1.0)) / (alpha * kappa)
+        dof = tables.dof[counts]
+        rows = np.empty((counts.shape[0], LeafCacheArrays.N_COLUMNS))
+        rows[:, LeafCacheArrays.MEAN] = (prior.kappa * prior.mean + totals) / kappa
+        rows[:, LeafCacheArrays.VARIANCE] = (scale * dof) / (dof - 2.0)
+        rows[:, LeafCacheArrays.COUNT] = counts
+        rows[:, LeafCacheArrays.LOGPDF_SCALE] = dof * scale
+        rows[:, LeafCacheArrays.LOGPDF_COEF] = tables.coef[counts]
+        rows[:, LeafCacheArrays.LOGPDF_CONST] = tables.lgamma_part[
+            counts
+        ] - 0.5 * kernels.log_array(tables.dof_pi[counts] * scale)
+        rows[:, LeafCacheArrays.SUM] = totals
+        rows[:, LeafCacheArrays.SUM_SQ] = sqs
+        rows[:, LeafCacheArrays.LML] = lml
+        return rows
+
+    def _apply_grows(
+        self,
+        leaves: List[_Node],
+        dims: List[int],
+        thresholds: List[float],
+        counts: List[int],
+        totals: List[float],
+        sqs: List[float],
+        masks: List[List[bool]],
+        index: int,
+    ) -> List[_Node]:
+        """Split each of ``leaves`` by its batched grow proposal.
 
         The children's models are rebuilt from the proposal's partition
         statistics (bit-identical to re-summing the partition, which is how
-        the reference path builds them) and the index lists from its mask —
-        no re-scan of the training buffers.
+        the reference path builds them) and the index lists from its
+        membership mask over the leaf's observations, whose last entry is
+        the incoming point — no re-scan of the training buffers.  The
+        statistic lists hold every left child, then every right child.
+        Returns the new children in the same order.
         """
-        assert self._prior is not None
-        mask = proposal.mask
-        old_mask = mask[:-1]
-        indices = np.asarray(leaf.indices, dtype=np.intp)
-        left_indices = [int(i) for i in indices[old_mask]]
-        right_indices = [int(i) for i in indices[~old_mask]]
-        if bool(mask[-1]):
-            left_indices.append(index)
-        else:
-            right_indices.append(index)
-        left_model = GaussianLeafModel.from_sufficient_stats(
-            self._prior, proposal.n_left, proposal.sum_left, proposal.sum_sq_left
-        )
-        right_model = GaussianLeafModel.from_sufficient_stats(
-            self._prior, proposal.n_right, proposal.sum_right, proposal.sum_sq_right
-        )
-        left_child = _Node(leaf.depth + 1)
-        left_child.leaf = left_model
-        left_child.indices = left_indices
-        right_child = _Node(leaf.depth + 1)
-        right_child.leaf = right_model
-        right_child.indices = right_indices
-        leaf.leaf = None
-        leaf.indices = []
-        leaf.split_dim = proposal.dim
-        leaf.split_value = proposal.threshold
-        leaf.left = left_child
-        leaf.right = right_child
+        prior = self._prior
+        n_grows = len(leaves)
+        lefts: List[_Node] = []
+        rights: List[_Node] = []
+        for g, leaf in enumerate(leaves):
+            indices = leaf.indices
+            mask = masks[g]
+            left_indices = [i for i, m in zip(indices, mask) if m]
+            right_indices = [i for i, m in zip(indices, mask) if not m]
+            if mask[len(indices)]:
+                left_indices.append(index)
+            else:
+                right_indices.append(index)
+            left_child = _Node(leaf.depth + 1)
+            left_child.leaf = GaussianLeafModel.from_sufficient_stats(
+                prior, counts[g], totals[g], sqs[g]
+            )
+            left_child.indices = left_indices
+            r = n_grows + g
+            right_child = _Node(leaf.depth + 1)
+            right_child.leaf = GaussianLeafModel.from_sufficient_stats(
+                prior, counts[r], totals[r], sqs[r]
+            )
+            right_child.indices = right_indices
+            leaf.leaf = None
+            leaf.indices = []
+            leaf.split_dim = dims[g]
+            leaf.split_value = thresholds[g]
+            leaf.left = left_child
+            leaf.right = right_child
+            lefts.append(left_child)
+            rights.append(right_child)
+        return lefts + rights
 
     # --------------------------------------------------- reference propagate
 
     def _propagate(
         self, root: _Node, x: np.ndarray, y: float, index: int
-    ) -> Tuple[_Node, bool, _Node]:
+    ) -> _Node:
         """Apply one stochastic stay/grow/prune move at the leaf containing ``x``.
 
-        Returns ``(new_root, structural_change, touched_leaf)``;
-        ``structural_change`` is true for grow/prune moves (the particle's
-        flat compilation must be rebuilt) and false for stay moves (only
-        ``touched_leaf``'s statistics changed).
+        Returns the particle's root after the move.
         """
         leaf, parent = root.descend_with_parent(x)
         assert leaf.leaf is not None and self._prior is not None
@@ -1798,14 +1673,13 @@ class DynamicTreeRegressor(SurrogateModel):
 
         if move == 1 and grow_proposal is not None:
             self._apply_grow(leaf, grow_proposal, index)
-            return root, True, leaf
+            return root
         if move == 2 and prune_possible:
             assert parent is not None and sibling is not None
-            new_root = self._apply_prune(root, parent, leaf, sibling, x, y, index)
-            return new_root, True, parent
+            return self._apply_prune(root, parent, leaf, sibling, x, y, index)
         leaf.leaf.add(y)
         leaf.indices.append(index)
-        return root, False, leaf
+        return root
 
     def _propose_grow(
         self, leaf: _Node, x: np.ndarray, y: float

@@ -22,13 +22,12 @@ uses instead of fragile ``id(node)`` dictionary keys.
 :meth:`~FlatForest.route` numbers the forest's distinct subtrees once
 (:class:`_SharedSubtrees`) so each row visits each distinct subtree once.
 
-A flat tree stays valid as long as the particle's *structure* is unchanged:
-a "stay" move only sharpens one leaf's sufficient statistics, which
-:meth:`patch_leaf` mirrors in O(1) without recompiling; "grow"/"prune"
-moves invalidate the compilation (the owner drops its cache and recompiles
-lazily).  Trees duplicated by a particle resample share one compilation
-copy-on-write: the owner copies the arrays only when a patch is about to
-land on a still-shared tree.
+A ``FlatTree`` is a one-off compilation — the reference the model's live
+forest is checked against, and how that forest is first built.  The live
+forest is an :class:`IncrementalForest`: every particle's compilation in
+one padded segment of a :class:`FlatForest`, edited in place by each SMC
+update (stay-move row patches, grow/prune splices, resample gathers), so
+the model never recompiles a particle once its forest exists.
 """
 
 from __future__ import annotations
@@ -86,7 +85,6 @@ class FlatTree:
         right: np.ndarray,
         leaf_slot: np.ndarray,
         caches: LeafCacheArrays,
-        nav: Optional[Tuple[list, list, list, list, list]] = None,
         leaf_nodes: Optional[list] = None,
     ) -> None:
         self.split_dim = split_dim
@@ -96,23 +94,17 @@ class FlatTree:
         self.leaf_slot = leaf_slot
         self.caches = caches
         # Leaf id -> the particle's ``_Node`` leaf, in pre-order (``None``
-        # for compilations whose caller did not supply the mapping).  The
-        # batched update's gather phase reads each leaf's training-row
-        # indices through this O(1) lookup instead of a Python descent.
-        # Entries may reference *shared* nodes after a resample — reads
-        # are always safe, mutation must still go through the tree's
-        # copy-on-write descent.
+        # for compilations whose caller did not supply the mapping); an
+        # IncrementalForest built from the compilation keeps it as its
+        # leaf-node column.
         self.leaf_nodes = leaf_nodes
         self.n_nodes = int(split_dim.shape[0])
         self.n_leaves = len(caches)
         # Plain-list mirror of the structure arrays for scalar descents:
         # Python-list indexing beats numpy scalar extraction several-fold
-        # at route_one's grain.  Built lazily — the batched update path
-        # derives thousands of FlatTrees per update (grow_at/prune_at) and
-        # routes through the forest arrays instead, so most compilations
-        # never take a scalar descent.  The structure never mutates after
-        # compilation, so copies share the mirror.
-        self._nav = nav
+        # at route_one's grain.  Built lazily: most compilations never take
+        # a scalar descent.
+        self._nav: Optional[Tuple[list, list, list, list, list]] = None
 
     @property
     def leaf_mean(self) -> np.ndarray:
@@ -170,25 +162,6 @@ class FlatTree:
             leaf_nodes=leaf_nodes,
         )
 
-    def copy(self) -> "FlatTree":
-        """An independent copy of the mutable state.
-
-        Only the leaf caches and the leaf-node mapping are ever patched in
-        place, so the copy shares the (immutable-after-compile) structure
-        arrays and the scalar navigation mirror — a resample duplicate
-        costs one ``(n_leaves, 9)`` array copy plus one list copy.
-        """
-        return FlatTree(
-            split_dim=self.split_dim,
-            split_value=self.split_value,
-            left=self.left,
-            right=self.right,
-            leaf_slot=self.leaf_slot,
-            caches=self.caches.copy(),
-            nav=self._nav,
-            leaf_nodes=list(self.leaf_nodes) if self.leaf_nodes is not None else None,
-        )
-
     # -------------------------------------------------------------- queries
 
     def route(self, X: np.ndarray) -> np.ndarray:
@@ -240,158 +213,6 @@ class FlatTree:
         """Cached posterior-predictive ``(mean, variance)`` of every row."""
         leaf_ids = self.route(X)
         return self.caches.mean[leaf_ids], self.caches.variance[leaf_ids]
-
-    # ------------------------------------------------------------- patching
-
-    def patch_leaf(self, leaf_id: int, leaf: GaussianLeafModel) -> Tuple[float, ...]:
-        """Refresh one leaf's cached statistics after a "stay" move.
-
-        Returns the written cache row (see
-        :meth:`~repro.models.leaf.LeafCacheArrays.patch`).
-        """
-        return self.caches.patch(leaf_id, leaf)
-
-    # ---------------------------------------------------------- derivations
-
-    def grow_at(self, leaf_id: int, node) -> "FlatTree":
-        """The compilation of this tree after growing leaf ``leaf_id``.
-
-        ``node`` is the just-split ``_Node`` (its ``split_dim``/``split_value``
-        are set and both children are leaves).  Pre-order numbering makes the
-        incremental derivation a pair of array splices: the leaf's node index
-        ``v`` becomes the internal node, its children land at ``v+1``/``v+2``,
-        node indices after ``v`` shift by ``+2`` and leaf ids after ``leaf_id``
-        by ``+1``.  The result is bit-identical to ``FlatTree.compile`` on the
-        mutated particle — structure arrays and cache rows alike (the new
-        leaf rows come from the same memoized ``patch`` path) — at O(n) array
-        copies instead of an O(n) *Python recursion* with per-node appends.
-        """
-        v = int(np.flatnonzero(self.leaf_slot == leaf_id)[0])
-        n = self.n_nodes
-        split_dim = np.empty(n + 2, dtype=np.intp)
-        split_value = np.empty(n + 2)
-        left = np.empty(n + 2, dtype=np.intp)
-        right = np.empty(n + 2, dtype=np.intp)
-        leaf_slot = np.empty(n + 2, dtype=np.intp)
-
-        split_dim[:v] = self.split_dim[:v]
-        split_dim[v] = int(node.split_dim)
-        split_dim[v + 1] = -1
-        split_dim[v + 2] = -1
-        split_dim[v + 3 :] = self.split_dim[v + 1 :]
-
-        split_value[:v] = self.split_value[:v]
-        split_value[v] = float(node.split_value)
-        split_value[v + 1] = 0.0
-        split_value[v + 2] = 0.0
-        split_value[v + 3 :] = self.split_value[v + 1 :]
-
-        # Only the parent of ``v`` points *at* ``v`` (index unchanged);
-        # every pointer beyond ``v`` moves with its target.
-        shifted_left = np.where(self.left > v, self.left + 2, self.left)
-        shifted_right = np.where(self.right > v, self.right + 2, self.right)
-        left[:v] = shifted_left[:v]
-        left[v] = v + 1
-        left[v + 1] = -1
-        left[v + 2] = -1
-        left[v + 3 :] = shifted_left[v + 1 :]
-        right[:v] = shifted_right[:v]
-        right[v] = v + 2
-        right[v + 1] = -1
-        right[v + 2] = -1
-        right[v + 3 :] = shifted_right[v + 1 :]
-
-        shifted_slot = np.where(self.leaf_slot > leaf_id, self.leaf_slot + 1, self.leaf_slot)
-        leaf_slot[:v] = shifted_slot[:v]
-        leaf_slot[v] = -1
-        leaf_slot[v + 1] = leaf_id
-        leaf_slot[v + 2] = leaf_id + 1
-        leaf_slot[v + 3 :] = shifted_slot[v + 1 :]
-
-        data = np.empty((self.n_leaves + 1, LeafCacheArrays.N_COLUMNS))
-        data[:leaf_id] = self.caches.data[:leaf_id]
-        data[leaf_id + 2 :] = self.caches.data[leaf_id + 1 :]
-        caches = LeafCacheArrays(data)
-        caches.patch(leaf_id, node.left.leaf)
-        caches.patch(leaf_id + 1, node.right.leaf)
-        nodes = self.leaf_nodes
-        if nodes is not None:
-            nodes = nodes[:leaf_id] + [node.left, node.right] + nodes[leaf_id + 1 :]
-        return FlatTree(
-            split_dim=split_dim,
-            split_value=split_value,
-            left=left,
-            right=right,
-            leaf_slot=leaf_slot,
-            caches=caches,
-            leaf_nodes=nodes,
-        )
-
-    def prune_at(self, left_leaf_id: int, parent_node) -> "FlatTree":
-        """The compilation of this tree after pruning a leaf pair.
-
-        ``left_leaf_id`` is the *left* child's leaf id (its sibling is
-        ``left_leaf_id + 1``); ``parent_node`` the just-pruned ``_Node``
-        (its ``leaf`` holds the merged model).  In pre-order the left child
-        immediately follows its parent, so the parent sits at
-        ``index(left child) - 1``: the two child rows are cut out, node
-        indices beyond them shift ``-2`` and leaf ids beyond the pair shift
-        ``-1``.  Bit-identical to recompiling the pruned particle.
-        """
-        merged_leaf = parent_node.leaf
-        v_left = int(np.flatnonzero(self.leaf_slot == left_leaf_id)[0])
-        parent = v_left - 1
-        n = self.n_nodes
-        split_dim = np.empty(n - 2, dtype=np.intp)
-        split_value = np.empty(n - 2)
-        left = np.empty(n - 2, dtype=np.intp)
-        right = np.empty(n - 2, dtype=np.intp)
-        leaf_slot = np.empty(n - 2, dtype=np.intp)
-
-        split_dim[:parent] = self.split_dim[:parent]
-        split_dim[parent] = -1
-        split_dim[parent + 1 :] = self.split_dim[parent + 3 :]
-
-        split_value[:parent] = self.split_value[:parent]
-        split_value[parent] = 0.0
-        split_value[parent + 1 :] = self.split_value[parent + 3 :]
-
-        # No surviving pointer targets the removed pair (only ``parent``
-        # pointed there, and it becomes a leaf), so a single ``> parent+2``
-        # shift repairs every remaining pointer.
-        shifted_left = np.where(self.left > parent + 2, self.left - 2, self.left)
-        shifted_right = np.where(self.right > parent + 2, self.right - 2, self.right)
-        left[:parent] = shifted_left[:parent]
-        left[parent] = -1
-        left[parent + 1 :] = shifted_left[parent + 3 :]
-        right[:parent] = shifted_right[:parent]
-        right[parent] = -1
-        right[parent + 1 :] = shifted_right[parent + 3 :]
-
-        shifted_slot = np.where(
-            self.leaf_slot > left_leaf_id + 1, self.leaf_slot - 1, self.leaf_slot
-        )
-        leaf_slot[:parent] = shifted_slot[:parent]
-        leaf_slot[parent] = left_leaf_id
-        leaf_slot[parent + 1 :] = shifted_slot[parent + 3 :]
-
-        data = np.empty((self.n_leaves - 1, LeafCacheArrays.N_COLUMNS))
-        data[:left_leaf_id] = self.caches.data[:left_leaf_id]
-        data[left_leaf_id + 1 :] = self.caches.data[left_leaf_id + 2 :]
-        caches = LeafCacheArrays(data)
-        caches.patch(left_leaf_id, merged_leaf)
-        nodes = self.leaf_nodes
-        if nodes is not None:
-            nodes = nodes[:left_leaf_id] + [parent_node] + nodes[left_leaf_id + 2 :]
-        return FlatTree(
-            split_dim=split_dim,
-            split_value=split_value,
-            left=left,
-            right=right,
-            leaf_slot=leaf_slot,
-            caches=caches,
-            leaf_nodes=nodes,
-        )
 
 
 class FlatForest:
@@ -667,227 +488,268 @@ class _SharedSubtrees:
         return table
 
 
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(start, start + length)`` runs, one per entry."""
+    total = int(lengths.sum())
+    ends = np.cumsum(lengths)
+    return np.arange(total, dtype=np.intp) + np.repeat(starts - (ends - lengths), lengths)
+
+
 class IncrementalForest:
-    """A :class:`FlatForest` maintained *in place* across model updates.
+    """A model's particle forest, edited in place by every SMC update.
 
-    ``FlatForest.from_trees`` touches every node of every particle —
-    O(total nodes) of concatenation and index shifting — and the dynamic
-    tree used to pay it on the first predict/ALC batch after *every*
-    update, even though a typical update only patches one leaf row per
-    particle (stay moves) and restructures a handful of particles
-    (grow/prune, resample duplicates).  This class keeps the concatenated
-    arrays alive between updates and repairs exactly what changed:
+    Each particle owns one segment of a padded :class:`FlatForest`: its
+    nodes in pre-order from ``forest.roots[p]`` and its leaf cache rows
+    from ``forest.leaf_offsets[p]``, followed by padding up to the
+    segment's capacity (``~2x`` its live size).  Padding is never
+    reachable — children point inside the live prefix and roots sit at
+    segment starts — so routing, gathered leaf statistics and ``bincount``
+    groupings are exactly those of the tight ``FlatForest.from_trees``
+    concatenation; only the numeric values of the global ids differ.
+    Padding nodes read as leaves without a slot, and the ``-1`` sentinels
+    of live nodes (a leaf's children, an internal node's leaf slot) stay
+    ``-1``, so every live segment localises to ``FlatTree.compile`` of its
+    particle exactly.
 
-    * each particle's segment is allocated with *capacity slack*
-      (``~2x`` its node/leaf count), so a recompiled tree that still fits
-      is written back into its own segment — O(segment), no other
-      particle moves and no offsets change;
-    * "stay" moves, the overwhelming majority, arrive as ``(slot,
-      leaf_id)`` stale-row records and are repaired by copying single
-      cache rows — O(particles) per update instead of O(total nodes);
-    * a tree that outgrows its segment (or a particle-count change)
-      aborts :meth:`sync`, and the owner rebuilds with fresh capacities —
-      amortised over the doublings of the tree, like a growing array.
+    ``leaf_nodes`` is an object column aligned with the cache rows: the
+    particle's ``_Node`` leaf behind each live row (``None`` on padding),
+    which the batched update reads each leaf's training-row indices from.
 
-    Padding entries between a segment's live nodes and its capacity are
-    never reachable (children only point inside the live prefix and roots
-    sit at segment starts), so the padded arrays behave exactly like the
-    tight ``from_trees`` arrays under :meth:`FlatForest.route`: routing
-    decisions, gathered leaf statistics and ``bincount`` groupings are
-    bit-identical, only the numeric values of the global leaf ids differ.
-
-    Ownership tracking is by object identity: the forest remembers which
-    :class:`FlatTree` instance each segment was written from.  A tree
-    patched in place (stay move) keeps its identity and reports the
-    patched rows through ``stale_rows``; every other change installs a
-    *different* ``FlatTree`` object in the slot, which :meth:`sync`
-    detects and repairs at the cheapest sufficient grain — a cache-segment
-    copy when the structure arrays are shared (copy-on-write cache copies
-    after a resample), a full segment rewrite otherwise (grow/prune
-    recompilations, resample permutations).
+    The update applies its moves as batched array edits: :meth:`patch`
+    (stay rows), :meth:`grow` and :meth:`prune` (pre-order splices of the
+    changed segments), :meth:`gather` (a resample's segment permutation);
+    a grow that overflows a segment first re-lays the whole forest out
+    with fresh capacities from its own arrays, amortised over the
+    doublings of the trees like a growing array.
     """
 
-    __slots__ = (
-        "forest",
-        "_trees",
-        "_node_caps",
-        "_leaf_caps",
-        "_node_offsets",
-        "_leaf_offsets",
-        "n_particles",
-    )
+    __slots__ = ("forest", "leaf_nodes", "n_nodes", "n_leaves", "node_caps", "leaf_caps")
 
-    #: Extra node/leaf rows reserved per segment beyond the current tree
-    #: size; a grow move adds two nodes (one leaf), so doubling plus a
-    #: small constant gives each particle room for many structural moves
-    #: before a full rebuild is needed.
+    #: Rows reserved per segment beyond twice its live size.
     MIN_SLACK = 8
 
     def __init__(self, trees: Sequence[FlatTree]) -> None:
-        if not trees:
-            raise ValueError("a forest needs at least one tree")
-        self.n_particles = len(trees)
-        self._trees: List[Optional[FlatTree]] = [None] * len(trees)
-        node_caps = np.asarray(
-            [2 * tree.n_nodes + self.MIN_SLACK for tree in trees], dtype=np.intp
+        self.forest = FlatForest.from_trees(trees)
+        self.n_nodes = np.asarray([tree.n_nodes for tree in trees], dtype=np.intp)
+        self.n_leaves = np.asarray([tree.n_leaves for tree in trees], dtype=np.intp)
+        nodes: list = []
+        for tree in trees:
+            nodes.extend(tree.leaf_nodes or [None] * tree.n_leaves)
+        self.leaf_nodes = np.empty(len(nodes), dtype=object)
+        self.leaf_nodes[:] = nodes
+        self._relayout(
+            np.arange(len(trees), dtype=np.intp),
+            self._capacity(self.n_nodes),
+            self._capacity(self.n_leaves),
         )
-        leaf_caps = np.asarray(
-            [2 * tree.n_leaves + self.MIN_SLACK for tree in trees], dtype=np.intp
+
+    @property
+    def n_particles(self) -> int:
+        return self.forest.n_particles
+
+    def copy(self) -> "IncrementalForest":
+        """An independent copy (the ``_Node`` objects themselves are shared)."""
+        clone = IncrementalForest.__new__(IncrementalForest)
+        forest = self.forest
+        clone.forest = FlatForest(
+            forest.split_dim.copy(),
+            forest.split_value.copy(),
+            forest.left.copy(),
+            forest.right.copy(),
+            forest.leaf_slot.copy(),
+            forest.caches.copy(),
+            forest.roots,
+            forest.leaf_offsets,
         )
-        node_offsets = np.concatenate([[0], np.cumsum(node_caps[:-1])]).astype(np.intp)
-        leaf_offsets = np.concatenate([[0], np.cumsum(leaf_caps[:-1])]).astype(np.intp)
+        # The subtree numbering is never mutated, only dropped and rebuilt.
+        clone.forest._subtrees = forest._subtrees
+        clone.leaf_nodes = self.leaf_nodes.copy()
+        for name in ("n_nodes", "n_leaves", "node_caps", "leaf_caps"):
+            setattr(clone, name, getattr(self, name).copy())
+        return clone
+
+    @classmethod
+    def _capacity(cls, sizes: np.ndarray) -> np.ndarray:
+        return 2 * sizes + cls.MIN_SLACK
+
+    def _relayout(
+        self, order: np.ndarray, node_caps: np.ndarray, leaf_caps: np.ndarray
+    ) -> None:
+        """Rebuild the padded arrays: segment ``j`` copied from ``order[j]``,
+        with room for ``node_caps[j]`` nodes and ``leaf_caps[j]`` leaf rows."""
+        old = self.forest
+        n_nodes = self.n_nodes[order]
+        n_leaves = self.n_leaves[order]
+        roots = np.cumsum(node_caps) - node_caps
+        leaf_offsets = np.cumsum(leaf_caps) - leaf_caps
         total_nodes = int(node_caps.sum())
-        total_leaves = int(leaf_caps.sum())
-        self._node_caps = node_caps
-        self._leaf_caps = leaf_caps
-        self._node_offsets = node_offsets
-        self._leaf_offsets = leaf_offsets
-        # Padding nodes are marked as leaves with no slot; they are
-        # unreachable by construction, the marks only keep accidental
-        # reads well-defined.
+        source = _ranges(old.roots[order], n_nodes)
+        dest = _ranges(roots, n_nodes)
+        node_shift = np.repeat(roots - old.roots[order], n_nodes)
+        leaf_shift = np.repeat(leaf_offsets - old.leaf_offsets[order], n_nodes)
         split_dim = np.full(total_nodes, -1, dtype=np.intp)
         split_value = np.zeros(total_nodes)
-        left = np.full(total_nodes, -1, dtype=np.intp)
-        right = np.full(total_nodes, -1, dtype=np.intp)
-        leaf_slot = np.full(total_nodes, -1, dtype=np.intp)
-        caches = LeafCacheArrays(np.zeros((total_leaves, LeafCacheArrays.N_COLUMNS)))
+        split_dim[dest] = old.split_dim[source]
+        split_value[dest] = old.split_value[source]
+        pointers = []
+        for array, shift in (
+            (old.left, node_shift),
+            (old.right, node_shift),
+            (old.leaf_slot, leaf_shift),
+        ):
+            moved = np.full(total_nodes, -1, dtype=np.intp)
+            values = array[source]
+            moved[dest] = np.where(values >= 0, values + shift, -1)
+            pointers.append(moved)
+        total_leaves = int(leaf_caps.sum())
+        leaf_source = _ranges(old.leaf_offsets[order], n_leaves)
+        leaf_dest = _ranges(leaf_offsets, n_leaves)
+        data = np.zeros((total_leaves, LeafCacheArrays.N_COLUMNS))
+        data[leaf_dest] = old.caches.data[leaf_source]
+        leaf_nodes = np.full(total_leaves, None, dtype=object)
+        leaf_nodes[leaf_dest] = self.leaf_nodes[leaf_source]
         self.forest = FlatForest(
-            split_dim=split_dim,
-            split_value=split_value,
-            left=left,
-            right=right,
-            leaf_slot=leaf_slot,
-            caches=caches,
-            roots=node_offsets,
-            leaf_offsets=leaf_offsets,
+            split_dim, split_value, *pointers, LeafCacheArrays(data), roots, leaf_offsets
         )
-        self._write_segments(list(range(len(trees))), trees)
+        self.leaf_nodes = leaf_nodes
+        self.n_nodes = n_nodes
+        self.n_leaves = n_leaves
+        self.node_caps = node_caps
+        self.leaf_caps = leaf_caps
 
-    def _write_segments(self, slots: List[int], trees: Sequence[FlatTree]) -> None:
-        """Install each ``trees[slot]`` into its padded segment, batched.
+    def gather(self, order: np.ndarray) -> None:
+        """Resample: slot ``j`` becomes a copy of slot ``order[j]``.
 
-        One concatenate-and-scatter per field instead of a handful of numpy
-        calls per slot, so the cost scales with the *changed* node count
-        plus one pass over the changed slots — a sync that repairs 5% of
-        the particles pays ~5% of a full rebuild.
+        Copies keep their source segment's capacity.
+        """
+        self._relayout(order, self.node_caps[order], self.leaf_caps[order])
 
-        The child/leaf indices are shifted by plain adds with no ``-1``
-        masking: a leaf's ``left``/``right`` and an internal node's
-        ``leaf_slot`` are never dereferenced (routing only follows children
-        of internal nodes and only reads leaf slots of leaves), so the
-        shifted ``-1`` sentinels may hold garbage without affecting any
-        query — ``split_dim``, the one array routing branches on, is copied
-        exactly.
+    def patch(
+        self, slots: np.ndarray, leaf_ids: np.ndarray, rows: np.ndarray, nodes: list
+    ) -> None:
+        """Stay moves: overwrite leaf ``leaf_ids[j]`` of ``slots[j]`` in place."""
+        gids = self.forest.leaf_offsets[slots] + leaf_ids
+        self.forest.caches.data[gids] = rows
+        self.leaf_nodes[gids] = nodes
+
+    def grow(
+        self,
+        slots: np.ndarray,
+        node_ids: np.ndarray,
+        leaf_ids: np.ndarray,
+        split_dims: np.ndarray,
+        split_values: np.ndarray,
+        rows: np.ndarray,
+        children: list,
+    ) -> None:
+        """Split local leaf ``leaf_ids[j]`` (node ``node_ids[j]``) of ``slots[j]``.
+
+        One pre-order splice over every growing segment: nodes after the
+        split node shift ``+2`` and leaf rows after the split leaf ``+1``
+        (pointers with them), the leaf becomes the split node and its two
+        children land right behind it.  ``rows`` holds the left children's
+        cache rows, then the right children's; ``children`` the matching
+        ``_Node`` objects in the same order.  At most one move per slot.
+        """
+        grown_nodes = self.n_nodes.copy()
+        grown_nodes[slots] += 2
+        grown_leaves = self.n_leaves.copy()
+        grown_leaves[slots] += 1
+        if (
+            (grown_nodes > self.node_caps).any()
+            or (grown_leaves > self.leaf_caps).any()
+        ):
+            self._relayout(
+                np.arange(self.n_particles, dtype=np.intp),
+                self._capacity(grown_nodes),
+                self._capacity(grown_leaves),
+            )
+        forest = self.forest
+        n_nodes = self.n_nodes[slots]
+        pivots = forest.roots[slots] + node_ids
+        leaf_pivots = forest.leaf_offsets[slots] + leaf_ids
+        source = _ranges(forest.roots[slots], n_nodes)
+        node_pivot = np.repeat(pivots, n_nodes)
+        dest = source + 2 * (source > node_pivot)
+        forest.split_dim[dest] = forest.split_dim[source]
+        forest.split_value[dest] = forest.split_value[source]
+        for array in (forest.left, forest.right):
+            values = array[source]
+            array[dest] = values + 2 * (values > node_pivot)
+        values = forest.leaf_slot[source]
+        forest.leaf_slot[dest] = values + (values > np.repeat(leaf_pivots, n_nodes))
+        kids = np.concatenate((pivots + 1, pivots + 2))
+        forest.split_dim[pivots] = split_dims
+        forest.split_value[pivots] = split_values
+        forest.left[pivots] = pivots + 1
+        forest.right[pivots] = pivots + 2
+        forest.leaf_slot[pivots] = -1
+        forest.split_dim[kids] = -1
+        forest.split_value[kids] = 0.0
+        forest.left[kids] = -1
+        forest.right[kids] = -1
+        forest.leaf_slot[kids] = np.concatenate((leaf_pivots, leaf_pivots + 1))
+        tail = _ranges(leaf_pivots + 1, self.n_leaves[slots] - leaf_ids - 1)
+        data = forest.caches.data
+        data[tail + 1] = data[tail]
+        self.leaf_nodes[tail + 1] = self.leaf_nodes[tail]
+        new_rows = np.concatenate((leaf_pivots, leaf_pivots + 1))
+        data[new_rows] = rows
+        self.leaf_nodes[new_rows] = children
+        self.n_nodes = grown_nodes
+        self.n_leaves = grown_leaves
+        forest._subtrees = None
+
+    def prune(
+        self, slots: np.ndarray, node_ids: np.ndarray, rows: np.ndarray, nodes: list
+    ) -> None:
+        """Collapse split node ``node_ids[j]`` of ``slots[j]`` (two leaf children).
+
+        The inverse splice of :meth:`grow`: the children's two nodes and
+        two leaf rows are cut out, later nodes shift ``-2`` and later rows
+        ``-1``, and the node becomes a leaf holding ``rows[j]`` (its
+        ``_Node`` is ``nodes[j]``).  The freed tail entries become padding.
         """
         forest = self.forest
-        # The segments get new structure: the cached subtree numbering of
-        # :meth:`FlatForest.route` is stale.
+        roots = forest.roots[slots]
+        n_nodes = self.n_nodes[slots]
+        pivots = roots + node_ids
+        leaf_pivots = forest.leaf_slot[pivots + 1]
+        source = _ranges(roots, n_nodes)
+        node_pivot = np.repeat(pivots, n_nodes)
+        keep = (source <= node_pivot) | (source > node_pivot + 2)
+        source = source[keep]
+        node_pivot = node_pivot[keep]
+        dest = source - 2 * (source > node_pivot)
+        forest.split_dim[dest] = forest.split_dim[source]
+        forest.split_value[dest] = forest.split_value[source]
+        for array in (forest.left, forest.right):
+            values = array[source]
+            array[dest] = values - 2 * (values > node_pivot + 2)
+        values = forest.leaf_slot[source]
+        leaf_pivot = np.repeat(leaf_pivots, n_nodes)[keep]
+        forest.leaf_slot[dest] = values - (values > leaf_pivot + 1)
+        freed = np.concatenate((roots + n_nodes - 2, roots + n_nodes - 1))
+        for array, value in (
+            (forest.split_dim, -1),
+            (forest.split_value, 0.0),
+            (forest.left, -1),
+            (forest.right, -1),
+        ):
+            array[pivots] = value
+            array[freed] = value
+        forest.leaf_slot[pivots] = leaf_pivots
+        forest.leaf_slot[freed] = -1
+        leaf_ends = forest.leaf_offsets[slots] + self.n_leaves[slots]
+        tail = _ranges(leaf_pivots + 2, leaf_ends - leaf_pivots - 2)
+        data = forest.caches.data
+        data[tail - 1] = data[tail]
+        self.leaf_nodes[tail - 1] = self.leaf_nodes[tail]
+        data[leaf_pivots] = rows
+        self.leaf_nodes[leaf_pivots] = nodes
+        self.leaf_nodes[leaf_ends - 1] = None
+        self.n_nodes[slots] -= 2
+        self.n_leaves[slots] -= 1
         forest._subtrees = None
-        source = [trees[slot] for slot in slots]
-        slots_arr = np.asarray(slots, dtype=np.intp)
-        node_counts = np.asarray([tree.n_nodes for tree in source], dtype=np.intp)
-        leaf_counts = np.asarray([tree.n_leaves for tree in source], dtype=np.intp)
-        node_offsets = self._node_offsets[slots_arr]
-        leaf_offsets = self._leaf_offsets[slots_arr]
-
-        node_shift = np.repeat(node_offsets, node_counts)
-        starts = np.cumsum(node_counts) - node_counts
-        dest = node_shift + (
-            np.arange(int(node_counts.sum()), dtype=np.intp)
-            - np.repeat(starts, node_counts)
-        )
-        forest.split_dim[dest] = np.concatenate([tree.split_dim for tree in source])
-        forest.split_value[dest] = np.concatenate(
-            [tree.split_value for tree in source]
-        )
-        forest.left[dest] = (
-            np.concatenate([tree.left for tree in source]) + node_shift
-        )
-        forest.right[dest] = (
-            np.concatenate([tree.right for tree in source]) + node_shift
-        )
-        forest.leaf_slot[dest] = np.concatenate(
-            [tree.leaf_slot for tree in source]
-        ) + np.repeat(leaf_offsets, node_counts)
-
-        leaf_starts = np.cumsum(leaf_counts) - leaf_counts
-        leaf_dest = np.repeat(leaf_offsets, leaf_counts) + (
-            np.arange(int(leaf_counts.sum()), dtype=np.intp)
-            - np.repeat(leaf_starts, leaf_counts)
-        )
-        forest.caches.data[leaf_dest] = np.concatenate(
-            [tree.caches.data for tree in source], axis=0
-        )
-        recorded = self._trees
-        for slot, tree in zip(slots, source):
-            recorded[slot] = tree
-
-    def sync(
-        self,
-        trees: Sequence[FlatTree],
-        stale_rows: "dict[Tuple[int, int], Tuple[float, ...]]",
-    ) -> bool:
-        """Bring the forest up to date with ``trees``; False forces a rebuild.
-
-        ``trees`` must hold one compiled :class:`FlatTree` per particle, in
-        particle order; ``stale_rows`` maps ``(slot, local leaf id)`` to the
-        cache-row values patched in place since the last sync (latest patch
-        wins, which a dict gives for free), applied as one batched fancy
-        assignment.  A tree whose *structure arrays* are unchanged but whose
-        cache matrix is a new object (a copy-on-write cache copy after a
-        resample) only has its cache segment recopied; a structurally new
-        tree gets a full segment rewrite.  Either way the slot's recorded
-        stale rows are dropped — the segment copy is the current truth and
-        the recorded values may predate it.  Returns ``False`` (leaving the
-        forest unusable until rebuilt) when the particle count changed or a
-        recompiled tree no longer fits its segment capacity.
-        """
-        if len(trees) != self.n_particles:
-            return False
-        recorded = self._trees
-        node_caps = self._node_caps
-        leaf_caps = self._leaf_caps
-        data = self.forest.caches.data
-        leaf_offsets = self._leaf_offsets
-        changed: List[int] = []
-        rewritten: set = set()
-        for slot, tree in enumerate(trees):
-            known = recorded[slot]
-            if tree is known:
-                continue
-            rewritten.add(slot)
-            if known is not None and tree.split_dim is known.split_dim:
-                # Copy-on-write cache copy: identical structure, fresh
-                # cache matrix — refresh the cache segment only.  (The
-                # structure arrays may be shared by a *different* tree that
-                # arrived here through a resample, so recorded stale rows
-                # for this slot are stale-by-lineage and must be dropped —
-                # hence the ``rewritten`` membership above.)
-                offset = int(leaf_offsets[slot])
-                data[offset : offset + tree.n_leaves] = tree.caches.data
-                recorded[slot] = tree
-                continue
-            if tree.n_nodes > node_caps[slot] or tree.n_leaves > leaf_caps[slot]:
-                return False
-            changed.append(slot)
-        if changed:
-            self._write_segments(changed, trees)
-        if stale_rows:
-            if rewritten:
-                items = [
-                    (key, row)
-                    for key, row in stale_rows.items()
-                    if key[0] not in rewritten
-                ]
-            else:
-                items = list(stale_rows.items())
-            if items:
-                count = len(items)
-                slots = np.fromiter(
-                    (key[0] for key, _ in items), dtype=np.intp, count=count
-                )
-                ids = np.fromiter(
-                    (key[1] for key, _ in items), dtype=np.intp, count=count
-                )
-                data[leaf_offsets[slots] + ids] = [row for _, row in items]
-        return True

@@ -516,21 +516,22 @@ class LeafCacheArrays:
     :class:`~repro.models.flat_tree.FlatTree` /
     :class:`~repro.models.flat_tree.FlatForest`: prediction and the ALC
     score gather ``mean``/``variance`` (column views), the batched reweight
-    step reads whole rows via :meth:`logpdf_row`, the batched propagate
-    step gathers the sufficient-statistics and LML columns instead of
-    calling per-leaf Python methods, and a "stay" move refreshes the one
-    affected row via :meth:`patch`.  The single backing matrix is
-    deliberate: copy-on-write resample copies, forest concatenation and
-    row patches each touch one array instead of nine, which is what keeps
-    those paths off the per-particle numpy-dispatch floor at paper-scale
-    particle counts.
+    step gathers whole rows, and the batched propagate step gathers the
+    sufficient-statistics and LML columns instead of calling per-leaf
+    Python methods.  The single backing matrix is deliberate: forest
+    splices, gathers and row scatters each touch one array instead of
+    nine, which is what keeps those paths off the per-particle
+    numpy-dispatch floor at paper-scale particle counts.
 
-    The per-row values are produced by the leaf models' memoized scalar
-    methods rather than by numpy transcendentals: ``np.log``/``np.log1p``
-    are *not* bit-identical to their ``math`` counterparts (SIMD
-    implementations round differently on ~1e-4 of inputs), and the particle
-    moves are sampled from scores built on these values, so a single
-    mismatched bit would silently fork seeded trajectories.
+    A compilation fills its rows via :meth:`patch` from the leaf models'
+    memoized scalar methods rather than from numpy transcendentals:
+    ``np.log``/``np.log1p`` are *not* bit-identical to their ``math``
+    counterparts (SIMD implementations round differently on ~1e-4 of
+    inputs), and the particle moves are sampled from scores built on these
+    values, so a single mismatched bit would silently fork seeded
+    trajectories.  The batched update writes rows it computes with the
+    same grouping and scalar-rounded logs, so both sources agree bit for
+    bit.
     """
 
     __slots__ = ("data",)
@@ -612,13 +613,8 @@ class LeafCacheArrays:
         row = self.data[slot].tolist()
         return row[0], row[3], row[4], row[5]
 
-    def patch(self, slot: int, leaf: GaussianLeafModel) -> Tuple[float, ...]:
-        """Refresh one row from a leaf model's (memoized) posterior.
-
-        Returns the written row as a tuple so callers tracking patches (the
-        incremental forest's stale-row records) get the values without
-        re-reading the array.
-        """
+    def patch(self, slot: int, leaf: GaussianLeafModel) -> None:
+        """Refresh one row from a leaf model's (memoized) posterior."""
         mean, dof_scale, coef, const = leaf.predictive_logpdf_terms()
         count, total, total_sq = leaf.sufficient_stats()
         row = (
@@ -633,4 +629,3 @@ class LeafCacheArrays:
             leaf.log_marginal_likelihood(),
         )
         self.data[slot] = row
-        return row

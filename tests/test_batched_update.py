@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.models.dynamic_tree import DynamicTreeConfig, DynamicTreeRegressor
+from repro.models.flat_tree import FlatTree
 from repro.models.leaf import (
     GaussianLeafModel,
     LeafCacheArrays,
@@ -229,8 +230,13 @@ class TestCopyOnWriteResample:
                 assert fast_leaf.leaf.predictive_mean() == slow_leaf.leaf.predictive_mean()
                 assert fast_leaf.leaf.count == slow_leaf.leaf.count
 
-    def test_shared_flat_compilations_are_copied_before_patch(self):
-        """Two particles never patch the same FlatTree caches object."""
+    def test_resampled_segments_are_private_copies(self):
+        """Duplicates made by a resample own their forest segments.
+
+        With a resample on every update, every particle's cache rows must
+        still equal a fresh compilation of its own tree — a row patched
+        into a segment another particle reads would break that.
+        """
         X, y = _piecewise_data(100, 3, 8)
         model = DynamicTreeRegressor(
             DynamicTreeConfig(n_particles=16, resample_threshold=1.0),
@@ -239,15 +245,14 @@ class TestCopyOnWriteResample:
         model.fit(X[:60], y[:60])
         for i in range(60, 100):
             model.update(X[i], float(y[i]))
-            seen = {}
-            for index, flat in enumerate(model._flat):
-                if flat is None:
-                    continue
-                other = seen.setdefault(id(flat.caches.data), index)
-                if other != index:
-                    assert model._flat_shared[index] or model._flat_shared[other], (
-                        f"particles {other} and {index} share leaf caches unflagged"
-                    )
+            forest = model._particle_forest.forest
+            for slot, root in enumerate(model._particles):
+                fresh = FlatTree.compile(root)
+                offset = int(forest.leaf_offsets[slot])
+                np.testing.assert_array_equal(
+                    forest.caches.data[offset : offset + fresh.n_leaves],
+                    fresh.caches.data,
+                )
 
 
 class TestSystematicResampler:

@@ -396,6 +396,73 @@ class TestCheckpointIntegrity:
         assert context.load_checkpoint() == {"examples": 7}
 
 
+class TestStaleModelCheckpoint:
+    def test_parent_layout_checkpoint_restarts_the_unit(self, tmp_path):
+        """A checkpoint whose dynamic tree predates the particle forest
+        (per-particle FlatTrees, no ``_particle_forest``) must restart its
+        unit cleanly: loading rejects it, and the run completes without a
+        failed attempt and with the results of an untouched run."""
+        from repro.experiments.registry import UnitContext
+        from repro.experiments.runner import _FileUnitContext
+
+        scale = _small_scale(repetitions=1, max_examples=16)
+        baseline = ExperimentRunner(
+            tmp_path / "baseline", scale, artifacts=["table1"]
+        ).run(workers=1)["table1"]
+
+        run_dir = tmp_path / "run"
+        runner = ExperimentRunner(run_dir, scale, artifacts=["table1"])
+        runner.prepare()
+        unit = runner.pending_units()[0]
+
+        class Capture(UnitContext):
+            checkpoint_interval = 4
+            sessions: list = []
+
+            def save_checkpoint(self, state):
+                self.sessions.append(
+                    pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+                )
+
+        capture = Capture()
+        capture.unit_id = unit.unit_id
+        capture.artifact = unit.artifact
+        get_spec("table1").execute_unit(unit, scale, capture)
+        session = pickle.loads(capture.sessions[0])
+        legacy = session.model.__dict__
+        del legacy["_particle_forest"]
+        count = len(legacy["_particles"])
+        legacy.update(
+            _flat=[None] * count,
+            _flat_shared=[False] * count,
+            _forest=None,
+            _forest_cache=None,
+            _forest_stale={},
+            _forest_dirty=True,
+        )
+        context = _FileUnitContext(
+            run_dir, unit, checkpoint_interval=4, lease_seconds=900.0
+        )
+        context.save_checkpoint(session)
+        # The host that wrote the checkpoint is gone: release its claim.
+        (run_dir / "claims" / f"{unit.unit_id}.claim").unlink()
+        assert context.load_checkpoint() is None
+
+        result = ExperimentRunner(run_dir, scale, artifacts=["table1"]).run(
+            workers=1, resume=True
+        )["table1"]
+        assert not list((run_dir / "failed").iterdir())
+        events = (run_dir / "log" / "events.jsonl").read_text("utf-8")
+        assert '"fail"' not in events and '"quarantine"' not in events
+        assert {
+            name: comparison.cost_to_reach
+            for name, comparison in baseline.comparisons.items()
+        } == {
+            name: comparison.cost_to_reach
+            for name, comparison in result.comparisons.items()
+        }
+
+
 class TestJournalRecovery:
     def _journal(self, tmp_path, payload):
         run_dir = tmp_path / "run"

@@ -6,8 +6,8 @@ must equal the two oracles it replaced on the hot path: per-particle
 ``FlatTree.route`` plus the particle's ``leaf_offsets`` entry, and the
 per-node ``_Node.descend`` reference.  The forests under test come from
 real update sequences (so resampled duplicate structures are present),
-from incremental syncs across grow/prune moves and capacity rebuilds,
-from ``FlatForest.from_trees``, and from hand-built trees that put
+from the model's in-place forest across grow/prune splices and capacity
+re-layouts, from ``FlatForest.from_trees``, and from hand-built trees that put
 ``0.0``/``-0.0`` thresholds and rows exactly on them.
 """
 
@@ -39,13 +39,9 @@ from repro.models.leaf import LeafCacheArrays
 GRID = np.array([-1.0, -0.5, -5e-324, -0.0, 0.0, 5e-324, 0.5, 1.0])
 
 
-def _model(seed, particles, resample_threshold, incremental_forest=True):
+def _model(seed, particles, resample_threshold):
     return DynamicTreeRegressor(
-        DynamicTreeConfig(
-            n_particles=particles,
-            resample_threshold=resample_threshold,
-            incremental_forest=incremental_forest,
-        ),
+        DynamicTreeConfig(n_particles=particles, resample_threshold=resample_threshold),
         rng=np.random.default_rng(seed),
     )
 
@@ -90,7 +86,7 @@ def _n_subtrees(forest):
 
 def _model_forest(model):
     forest = model._ensure_forest()
-    trees = [model._flat_tree(i) for i in range(model.n_particles)]
+    trees = [FlatTree.compile(root) for root in model._particles]
     return forest, trees
 
 
@@ -101,18 +97,16 @@ class TestGrownForests:
         particles=st.integers(1, 10),
         size=st.integers(2, 40),
         resample_threshold=st.sampled_from([0.5, 1.0]),
-        incremental=st.booleans(),
         n_rows=st.integers(1, 12),
     )
     def test_route_matches_per_tree_and_node_oracles(
-        self, seed, particles, size, resample_threshold, incremental, n_rows
+        self, seed, particles, size, resample_threshold, n_rows
     ):
         X, y = _training_data(seed, size)
-        model = _model(seed, particles, resample_threshold, incremental)
+        model = _model(seed, particles, resample_threshold)
         model.fit(X, y)
         forest, trees = _model_forest(model)
-        if incremental:
-            assert forest is model._forest_cache.forest
+        assert forest is model._particle_forest.forest
         probes = _probes(forest, np.random.default_rng(seed + 1), n_rows)
         _assert_matches_oracles(forest, trees, probes, roots=model._particles)
 
@@ -132,8 +126,9 @@ class TestGrownForests:
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10_000), particles=st.integers(1, 8))
     def test_incremental_syncs(self, seed, particles):
-        """Route after every sync: grow/prune segment rewrites must drop the
-        cached subtrees, stay-move cache patches must not need to."""
+        """Route after every update: grow/prune splices and resample gathers
+        must drop the cached subtrees, stay-move row patches must not need
+        to."""
         X, y = _training_data(seed, 50)
         model = _model(seed, particles, resample_threshold=0.7)
         model.fit(X[:6], y[:6])
@@ -148,28 +143,27 @@ class TestGrownForests:
         _assert_matches_oracles(forest, trees, X[:10], roots=model._particles)
 
     def test_capacity_rebuild(self):
-        """Trees outgrowing their segments force a fresh IncrementalForest;
+        """Trees outgrowing their segments force a re-layout of the forest;
         routing stays exact across the switch."""
         rng = np.random.default_rng(0)
         X = rng.uniform(-1.5, 1.5, size=(60, 3))
         y = 1.0 + 0.3 * X[:, 0] + np.where(X[:, 1] > 0, 0.5, 0.0) + rng.normal(0, 0.05, 60)
         model = _model(3, 8, resample_threshold=0.5)
         model.fit(X[:10], y[:10])
-        forest, _ = _model_forest(model)
-        first_cache = model._forest_cache
+        first_caps = model._particle_forest.node_caps
         for i in range(10, 60):
             model.update(X[i], float(y[i]))
             forest, trees = _model_forest(model)
             _assert_matches_oracles(forest, trees, X[:8])
-        assert model._forest_cache is not first_cache
+        assert model._particle_forest.node_caps.max() > first_caps.max()
         _assert_matches_oracles(forest, trees, X[:8], roots=model._particles)
 
     def test_from_trees_forest(self):
         X, y = _training_data(8, 50)
-        model = _model(9, 12, resample_threshold=0.5, incremental_forest=False)
+        model = _model(9, 12, resample_threshold=0.5)
         model.fit(X, y)
-        forest, trees = _model_forest(model)
-        assert model._forest_cache is None
+        _, trees = _model_forest(model)
+        forest = FlatForest.from_trees(trees)
         _assert_matches_oracles(forest, trees, X[:20], roots=model._particles)
 
 
@@ -258,7 +252,6 @@ class TestAlcBitIdentity:
         particles=st.integers(1, 10),
         size=st.integers(2, 40),
         resample_threshold=st.sampled_from([0.5, 1.0]),
-        incremental=st.booleans(),
         n_candidates=st.integers(1, 12),
         n_reference=st.integers(1, 8),
     )
@@ -268,12 +261,11 @@ class TestAlcBitIdentity:
         particles,
         size,
         resample_threshold,
-        incremental,
         n_candidates,
         n_reference,
     ):
         X, y = _training_data(seed, size)
-        model = _model(seed, particles, resample_threshold, incremental)
+        model = _model(seed, particles, resample_threshold)
         assert model.config.float_mode == "exact"
         model.fit(X, y)
         rng = np.random.default_rng(seed + 3)
